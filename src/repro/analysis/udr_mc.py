@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.constants import CACHELINE_BYTES
+from repro.faults import mc
+from repro.faults.ecc import make_ecc
+from repro.faults.fault_model import sample_fault
 from repro.faults.faultsim import FaultSimulator
 from repro.memory import AddressMap
 
@@ -214,6 +217,18 @@ def _unverifiable_bytes(amap: AddressMap, due_blocks: np.ndarray) -> tuple:
     return unverifiable, region_counts
 
 
+def _sample_faults(config, k: int, rng) -> list:
+    """k independent fault arrivals with Hopper-distributed modes."""
+    classes = list(config.relative_rates)
+    weights = np.array([config.relative_rates[c] for c in classes])
+    faults = []
+    for class_index in rng.choice(len(classes), size=k, p=weights):
+        faults.extend(
+            sample_fault(classes[int(class_index)], config.geometry, rng)
+        )
+    return faults
+
+
 def monte_carlo_udr(
     simulator: FaultSimulator,
     clone_depths=None,
@@ -234,9 +249,10 @@ def monte_carlo_udr(
     """
     config = simulator.config
     geometry = config.geometry
+    ecc = make_ecc(config.repair)
     amap = build_dimm_map(geometry, clone_depths=clone_depths)
     rng = np.random.default_rng(rng_seed)
-    mean = simulator.lifetime_fault_mean()
+    mean = config.expected_faults_per_dimm()
 
     expected_unverifiable = 0.0
     expected_data_error = 0.0
@@ -244,13 +260,8 @@ def monte_carlo_udr(
     trials_with_due = 0
     truncated = 0
     by_region = {}
-    for k in range(simulator._min_faults_for_due(), simulator.MAX_FAULTS + 1):
-        pmf = math.exp(-mean) * mean**k / math.factorial(k)
-        if k == simulator.MAX_FAULTS:
-            pmf = 1.0 - sum(
-                math.exp(-mean) * mean**j / math.factorial(j)
-                for j in range(simulator.MAX_FAULTS)
-            )
+    for k in range(mc.min_faults_for_due(config.repair), mc.MAX_FAULTS + 1):
+        pmf = mc.bucket_pmf(k, mean)
         if pmf <= 0:
             continue
         attempts = 0
@@ -260,8 +271,8 @@ def monte_carlo_udr(
         data_error_sum = 0.0
         while scored < due_events_per_k and attempts < max_attempts_per_k:
             attempts += 1
-            faults = simulator.sample_faults(k, rng)
-            regions = simulator.ecc.uncorrectable_regions(faults, geometry)
+            faults = _sample_faults(config, k, rng)
+            regions = ecc.uncorrectable_regions(faults, geometry)
             if not regions:
                 continue
             scored += 1

@@ -9,8 +9,8 @@ The main entry points:
   leg; emits ``BENCH_perf.json`` (the repo's perf trajectory);
 * ``engine-diff`` — replay the vector engine against its pinned
   behavior fixture (corpus + pinned sweeps + chaos fault injection);
-* ``mc-diff``     — differential vector-vs-scalar FaultSim equivalence
-  suite (RNG, samplers, trial evaluation, results, batching);
+* ``mc-diff``     — replay the Monte-Carlo core against its pinned
+  behavior fixture (RNG, sampler, trial evaluation, results, batching);
 * ``reliability`` — fault simulation + UDR across FIT rates
   (Figure 11/12 style); ``--empirical``/``--target-ci`` switch to the
   streaming Monte-Carlo campaign with confidence intervals
@@ -198,8 +198,7 @@ def cmd_perf(args) -> int:
             return 1
     schemes = PAPER_SCHEMES
     cells = [
-        SimCell(workload=spec, scheme=scheme, config=config, seed=args.seed,
-                engine=args.engine or "")
+        SimCell(workload=spec, scheme=scheme, config=config, seed=args.seed)
         for _, spec in named
         for scheme in schemes
     ]
@@ -321,7 +320,6 @@ def _reliability_empirical(args) -> int:
             target_ci=args.target_ci,
             importance=importance,
             data_bytes=size,
-            engine=args.engine,
             jobs=args.jobs,
             checkpoint=checkpoint,
             resume=runtime["resume"],
@@ -643,9 +641,8 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
-def cmd_engine_diff(args) -> int:
-    """Replay the vector engine against its pinned behavior fixture."""
-    from repro.verify.engine_diff import DEFAULT_FIXTURE, run_engine_diff
+def _replay_cli(args, run, subject: str, scope: str, **kwargs) -> int:
+    """Drive a replay prover (engine-diff / mc-diff) from the shell."""
 
     def progress(row):
         status = "ok" if row["identical"] else "MISMATCH"
@@ -653,14 +650,13 @@ def cmd_engine_diff(args) -> int:
             f"  differs in: {', '.join(row['mismatched'])}"
             if row["mismatched"] else ""
         )
-        error = f"  (pinned error: {row['error']})" if row["error"] else ""
+        error = (
+            f"  (pinned error: {row['error']})" if row.get("error") else ""
+        )
         print(f"  {row['name']:<40} {status}{detail}{error}")
 
-    report = run_engine_diff(
-        corpus_dir=args.corpus, refs=args.refs, quick=args.quick,
-        progress=progress, fixture=args.fixture or DEFAULT_FIXTURE,
-        record=args.record,
-    )
+    report = run(quick=args.quick, progress=progress, record=args.record,
+                 **kwargs)
     if args.out:
         atomic_write_json(args.out, report)
         print(f"wrote {args.out}")
@@ -670,33 +666,30 @@ def cmd_engine_diff(args) -> int:
               "file)")
         return 0
     verdict = "BIT-IDENTICAL" if report["identical"] else "DIVERGED"
-    print(f"engine {verdict} to the pinned replay fixture across "
-          f"{report['total']} cases (corpus + pinned sweeps + chaos)")
+    print(f"{subject} {verdict} to the pinned replay fixture across "
+          f"{report['total']} cases ({scope})")
     return 0 if report["identical"] else 1
+
+
+def cmd_engine_diff(args) -> int:
+    """Replay the vector engine against its pinned behavior fixture."""
+    from repro.verify.engine_diff import DEFAULT_FIXTURE, run_engine_diff
+
+    return _replay_cli(
+        args, run_engine_diff, "engine", "corpus + pinned sweeps + chaos",
+        corpus_dir=args.corpus, refs=args.refs,
+        fixture=args.fixture or DEFAULT_FIXTURE,
+    )
 
 
 def cmd_mc_diff(args) -> int:
-    """Differential vector-vs-scalar FaultSim equivalence suite."""
+    """Replay the Monte-Carlo core against its pinned behavior fixture."""
     from repro.verify.mc_diff import run_mc_diff
 
-    def progress(row):
-        status = "ok" if row["identical"] else "MISMATCH"
-        detail = (
-            f"  differs in: {', '.join(row['mismatched'])}"
-            if row["mismatched"] else ""
-        )
-        print(f"  {row['name']:<40} {status}{detail}")
-
-    report = run_mc_diff(
-        trials=args.trials, quick=args.quick, progress=progress
+    return _replay_cli(
+        args, run_mc_diff, "MC core",
+        "rng + sampler + trial + result + batching + importance",
     )
-    if args.out:
-        atomic_write_json(args.out, report)
-        print(f"wrote {args.out}")
-    verdict = "BIT-IDENTICAL" if report["identical"] else "DIVERGED"
-    print(f"MC engines {verdict} across {report['total']} cases "
-          "(rng + sampler + trial + result + batching + importance)")
-    return 0 if report["identical"] else 1
 
 
 def cmd_figures(args) -> int:
@@ -1051,10 +1044,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (output identical to --jobs 1)")
     p.add_argument("--seed", type=int, default=0,
                    help="per-cell base seed (same seed -> same table)")
-    p.add_argument("--engine", default=None,
-                   choices=["vector"],
-                   help="simulation engine (the retired scalar loop's "
-                        "behavior is pinned by `repro engine-diff`)")
     p.add_argument("--out", default=None,
                    help="write the sweep/v1 JSON report here")
     _add_runtime_args(p)
@@ -1109,12 +1098,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="importance sampling: oversample upper-tree-"
                         "node loss classes with exact reweighting "
                         "(default), or plain sampling (off)")
-    p.add_argument("--engine", default=None,
-                   choices=["vector", "scalar"],
-                   help="MC engine for --empirical (default: "
-                        "REPRO_MC_ENGINE env override, then the "
-                        "vectorized engine; the two are bit-identical "
-                        "-- see repro mc-diff)")
     p.add_argument("--out", default=None,
                    help="write the sweep/v1 (or udr_mc/v1) JSON report")
     _add_runtime_args(p)
@@ -1258,16 +1241,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "mc-diff",
-        help="prove vector-vs-scalar FaultSim bit-equality (RNG, "
-             "sampler, per-trial DUE regions, end-to-end results, "
-             "batching, importance weights)",
+        help="replay the Monte-Carlo core against its pinned behavior "
+             "fixture (RNG, sampler, per-trial DUE regions, end-to-end "
+             "results, batching, importance weights)",
     )
-    p.add_argument("--trials", type=_parse_count, default=1500,
-                   help="trials per case (scientific notation OK)")
     p.add_argument("--quick", action="store_true",
                    help="CI-sized subset of the pinned corpus")
+    p.add_argument("--record", action="store_true",
+                   help="re-pin the fixture from the current core "
+                        "instead of comparing (for intentional "
+                        "behavior changes; review the diff)")
     p.add_argument("--out", default=None,
-                   help="write the mc_diff/v1 JSON report here")
+                   help="write the mc_diff/v2 JSON report here")
     p.set_defaults(func=cmd_mc_diff)
 
     p = sub.add_parser(

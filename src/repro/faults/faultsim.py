@@ -19,69 +19,16 @@ when the absolute probability is 1e-9 — the regime of Figure 11.
 
 Trials are executed by :mod:`repro.faults.mc`, which samples whole
 batches as numpy arrays from a counter-based RNG and evaluates the ECC
-model vectorized.  The scalar reference engine (same RNG, the original
-object model per trial) stays available via ``run(engine="scalar")`` or
-``REPRO_MC_ENGINE=scalar``; both engines reduce each trial to the same
-integers and share one aggregation, so they are bit-identical — a claim
-``repro mc-diff`` proves on a pinned corpus.
+model vectorized; its behavior is pinned by the replay fixture that
+``repro mc-diff`` checks.
 """
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
-
-import numpy as np
 
 from repro.faults import mc
 from repro.faults.config import FaultSimConfig
-from repro.faults.ecc import make_ecc
-from repro.faults.fault_model import sample_fault
-
-
-def union_block_count(regions, geometry, on_approximation=None) -> int:
-    """Unique blocks covered by DUE regions (inclusion-exclusion).
-
-    Regions in different ranks never overlap; within a rank the extents
-    are rectangular products, so intersections stay rectangular and the
-    inclusion-exclusion sum is exact — except above 14 regions per
-    rank, where the additive *upper bound* replaces the 2^n sum.  That
-    substitution silently overestimates DUEs, so it now warns and
-    reports itself through ``on_approximation`` (called once per
-    affected rank with the region count) for campaign accounting.
-    """
-    total = 0
-    by_rank = {}
-    for region in regions:
-        by_rank.setdefault(region.rank, []).append(region.extent)
-    for extents in by_rank.values():
-        n = len(extents)
-        if n > 14:
-            # Astronomically rare; fall back to an upper bound.
-            warnings.warn(
-                f"union_block_count: {n} overlapping DUE regions in one "
-                "rank; substituting the additive upper bound for "
-                "inclusion-exclusion (overestimates unique DUE blocks)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            if on_approximation is not None:
-                on_approximation(n)
-            total += sum(e.block_count(geometry) for e in extents)
-            continue
-        for r in range(1, n + 1):
-            sign = 1 if r % 2 else -1
-            for combo in combinations(extents, r):
-                meet = combo[0]
-                for other in combo[1:]:
-                    meet = meet.intersect(other)
-                    if meet.is_empty():
-                        break
-                else:
-                    total += sign * meet.block_count(geometry)
-    return total
 
 
 @dataclass
@@ -117,104 +64,32 @@ class FaultSimResult:
 
 
 class FaultSimulator:
-    """Conditional Monte-Carlo engine over one DIMM lifetime."""
-
-    #: Highest fault count explicitly conditioned on; the Poisson tail
-    #: above this is folded into the last bucket conservatively.
-    MAX_FAULTS = 8
+    """Conditional Monte-Carlo campaign over one DIMM lifetime."""
 
     def __init__(self, config: FaultSimConfig):
         self.config = config
-        self.ecc = make_ecc(config.repair)
-        self._classes = list(config.relative_rates)
-        self._weights = np.array(
-            [config.relative_rates[c] for c in self._classes]
-        )
-        #: Upper-bound substitutions observed since the last run().
-        self.union_approximations = 0
 
-    def _note_approximation(self, region_count: int) -> None:
-        self.union_approximations += 1
-
-    def lifetime_fault_mean(self) -> float:
-        """Expected fault arrivals per DIMM over the simulated life."""
-        return self.config.expected_faults_per_dimm()
-
-    def _poisson_pmf(self, k: int, mean: float) -> float:
-        return math.exp(-mean) * mean**k / math.factorial(k)
-
-    def sample_faults(self, k: int, rng) -> list:
-        """k independent fault arrivals with Hopper-distributed modes."""
-        faults = []
-        classes = rng.choice(len(self._classes), size=k, p=self._weights)
-        for class_index in classes:
-            faults.extend(
-                sample_fault(
-                    self._classes[int(class_index)], self.config.geometry, rng
-                )
-            )
-        return faults
-
-    def trial(self, k: int, rng):
-        """One conditioned trial.
-
-        Returns ``(unique DUE blocks, any-DUE flag, per-rank DUE block
-        counts)`` — the per-rank split feeds the cross-domain clone
-        survival moments.
-        """
-        geometry = self.config.geometry
-        faults = self.sample_faults(k, rng)
-        regions = self.ecc.uncorrectable_regions(faults, geometry)
-        if not regions:
-            return 0, False, [0] * geometry.ranks
-        per_rank = [0] * geometry.ranks
-        for rank in range(geometry.ranks):
-            rank_regions = [r for r in regions if r.rank == rank]
-            if rank_regions:
-                per_rank[rank] = union_block_count(
-                    rank_regions, geometry,
-                    on_approximation=self._note_approximation,
-                )
-        return sum(per_rank), True, per_rank
-
-    def _min_faults_for_due(self) -> int:
-        # Symbol correction over c chips needs c+1 independent chip
-        # faults to overlap; SECDED and no-ECC can fail with a single
-        # (multi-bit) fault.
-        if self.config.repair == "chipkill":
-            return 2
-        if self.config.repair == "chipkill2":
-            return 3
-        return 1
-
-    def run(self, trials_per_k: int = None, engine: str = None) -> FaultSimResult:
+    def run(self, trials_per_k: int = None) -> FaultSimResult:
         """Run the campaign; ``trials_per_k`` defaults to
-        ``config.trials / MAX_FAULTS`` conditioned trials per bucket.
-
-        ``engine`` selects the batched vector core (default) or the
-        scalar reference loop (``"scalar"``); both consume the same
-        counter-based random streams and produce bit-identical results.
-        """
+        ``config.trials / MAX_FAULTS`` conditioned trials per bucket."""
         config = self.config
-        engine = mc.resolve_engine(engine)
         if trials_per_k is None:
-            trials_per_k = max(200, config.trials // self.MAX_FAULTS)
-        self.union_approximations = 0
-        mean = self.lifetime_fault_mean()
-        total_blocks = config.geometry.total_blocks
+            trials_per_k = max(200, config.trials // mc.MAX_FAULTS)
+        approximations = []
+        mean = config.expected_faults_per_dimm()
         max_depth = 5  # deepest cloning the analysis will ask about
         expected_due_blocks = 0.0
         due_probability = 0.0
         moments = {d: 0.0 for d in range(1, max_depth + 1)}
         cross_moments = {d: 0.0 for d in range(1, max_depth + 1)}
         by_fault_count = {}
-        for k in range(self._min_faults_for_due(), self.MAX_FAULTS + 1):
-            pmf = mc.bucket_pmf(k, mean, self.MAX_FAULTS)
+        for k in range(mc.min_faults_for_due(config.repair), mc.MAX_FAULTS + 1):
+            pmf = mc.bucket_pmf(k, mean)
             if pmf <= 0:
                 continue
             u_total, per_rank, _ = mc.batch_outputs(
-                config, k, 0, trials_per_k, engine=engine,
-                on_approximation=self._note_approximation,
+                config, k, 0, trials_per_k,
+                on_approximation=approximations.append,
             )
             blocks_sum, due_count, moment_sums, cross_sums = (
                 mc.aggregate_outputs(
@@ -235,11 +110,11 @@ class FaultSimulator:
                 cross_moments[d] += pmf * cross_sums[d] / trials_per_k
         return FaultSimResult(
             config=config,
-            p_block_due=expected_due_blocks / total_blocks,
+            p_block_due=expected_due_blocks / config.geometry.total_blocks,
             due_probability=due_probability,
             expected_due_blocks=expected_due_blocks,
             p_multi_due=moments,
             p_multi_due_cross=cross_moments,
             by_fault_count=by_fault_count,
-            union_approximations=self.union_approximations,
+            union_approximations=len(approximations),
         )

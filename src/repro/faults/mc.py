@@ -5,22 +5,20 @@ This module is the batched engine behind :class:`FaultSimulator` and the
 
 **Counter-based RNG.**  Every random draw is a pure function of
 ``(seed, k-bucket, fault slot, field, global trial index)`` through a
-SplitMix64 mix, implemented twice: once on Python ints (the scalar
-reference) and once on ``numpy.uint64`` arrays (the vector engine).
-Because draws are keyed rather than sequenced, the stream is identical
-no matter how trials are chunked into batches — batch-size invariance
-and resume-bit-identity fall out by construction, and ``repro mc-diff``
-proves both implementations produce the same bits.
+SplitMix64 mix on ``numpy.uint64`` arrays.  Because draws are keyed
+rather than sequenced, the stream is identical no matter how trials are
+chunked into batches — batch-size invariance and resume-bit-identity
+fall out by construction.
 
-**Two independent evaluators.**  The vector path encodes each fault as
-``(class, rank, chip, bank-mask, row, group)`` integers and evaluates
-ECC correctability with array arithmetic (bank-set meets are ``AND`` on
-uint64 masks, row/group meets use ``-1`` = *all* and ``-2`` = *empty*
-sentinels); the scalar path builds the original
-:class:`~repro.faults.fault_model.Fault` objects and runs the original
-:mod:`repro.faults.ecc` model plus ``union_block_count``.  Both reduce a
-trial to the same integers (per-rank unique DUE block counts), so one
-shared aggregation makes the engines bit-identical end to end.
+**Integer-encoded ECC evaluation.**  Each fault is encoded as
+``(class, rank, chip, bank-mask, row, group)`` integers and ECC
+correctability is evaluated with array arithmetic (bank-set meets are
+``AND`` on uint64 masks, row/group meets use ``-1`` = *all* and ``-2`` =
+*empty* sentinels).  A trial reduces to per-rank unique DUE block
+counts.  The engine was proven bit-identical to a scalar reference (the
+original :class:`~repro.faults.fault_model.Fault` objects and
+:mod:`repro.faults.ecc` model) before that reference was retired; its
+behavior is pinned by the replay fixture ``repro mc-diff`` checks.
 
 **Streaming sufficient statistics.**  Campaign batches emit exact
 per-batch sums (:class:`~repro.faults.streaming.McBatchStat`); the
@@ -32,9 +30,7 @@ biased distribution ``q`` and carries the exact likelihood ratio
 
 from __future__ import annotations
 
-import bisect
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -43,8 +39,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.faults.config import FaultSimConfig
-from repro.faults.ecc import make_ecc
-from repro.faults.fault_model import Extent, Fault
 from repro.faults.streaming import (
     McBatchStat,
     McEstimatorState,
@@ -52,7 +46,8 @@ from repro.faults.streaming import (
     wilson_interval,
 )
 
-#: Highest fault count explicitly conditioned on (mirrors FaultSimulator).
+#: Highest fault count explicitly conditioned on; the Poisson tail
+#: above it is folded into the last bucket.
 MAX_FAULTS = 8
 
 #: Default memory size UDR estimates refer to (1 TB, as in Figure 11).
@@ -62,19 +57,13 @@ DEFAULT_DATA_BYTES = 1 << 40
 #: dominate the multi-copy loss tail that UDR campaigns chase.
 HEAVY_CLASSES = ("row", "bank", "nbank", "nrank")
 
-_ENGINES = ("vector", "scalar")
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Pick the trial engine: argument > ``REPRO_MC_ENGINE`` > vector."""
-    choice = engine or os.environ.get("REPRO_MC_ENGINE", "") or "vector"
-    if choice not in _ENGINES:
-        raise ValueError(f"unknown MC engine {choice!r}; expected {_ENGINES}")
-    return choice
-
 
 def min_faults_for_due(repair: str) -> int:
-    """Fewest fault arrivals that can produce a DUE under this ECC."""
+    """Fewest fault arrivals that can produce a DUE under this ECC.
+
+    Symbol correction over c chips needs c+1 independent chip faults to
+    overlap; SECDED and no-ECC can fail with a single (multi-bit) fault.
+    """
     if repair == "chipkill":
         return 2
     if repair == "chipkill2":
@@ -94,7 +83,7 @@ def bucket_pmf(k: int, mean: float, max_faults: int = MAX_FAULTS) -> float:
 
 
 # ---------------------------------------------------------------------------
-# counter-based RNG (SplitMix64): scalar reference + uint64 vector twin
+# counter-based RNG (SplitMix64)
 # ---------------------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1
@@ -122,7 +111,7 @@ F_NBANK_SCORE = 7  # keyed per bank lane
 
 
 def mix64(value: int) -> int:
-    """SplitMix64 finalizer on a Python int (scalar reference)."""
+    """SplitMix64 finalizer on a Python int (stream-key derivation)."""
     z = (value + _GOLDEN) & _MASK64
     z = (z ^ (z >> 30)) * _MIX1 & _MASK64
     z = (z ^ (z >> 27)) * _MIX2 & _MASK64
@@ -130,7 +119,7 @@ def mix64(value: int) -> int:
 
 
 def mix64_array(values: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a uint64 array (vector twin of mix64)."""
+    """SplitMix64 finalizer on a uint64 array (twin of mix64)."""
     z = values + _GOLDEN_U
     z = (z ^ (z >> _U(30))) * _MIX1_U
     z = (z ^ (z >> _U(27))) * _MIX2_U
@@ -145,18 +134,9 @@ def stream_key(*parts: int) -> int:
     return h
 
 
-def draw(key: int, trial: int) -> int:
-    """The ``trial``-th 64-bit value of stream ``key`` (scalar)."""
-    return mix64(key ^ ((trial * _STREAM) & _MASK64))
-
-
 def draw_array(key: int, trials: np.ndarray) -> np.ndarray:
-    """Vector twin of :func:`draw` over a uint64 trial-index array."""
+    """The ``trials``-th 64-bit values of stream ``key``."""
     return mix64_array(_U(key) ^ (trials * _STREAM_U))
-
-
-def _unit_float(raw: int) -> float:
-    return float(raw >> 11) * 2.0**-53
 
 
 def _unit_float_array(raw: np.ndarray) -> np.ndarray:
@@ -174,8 +154,7 @@ _SINGLE_BANK = ("bit", "word", "column", "row", "bank")
 
 
 def _class_cdf(classes, distribution) -> list:
-    """Running-sum CDF over ``classes`` (Python floats, shared by both
-    engines so searchsorted and bisect see identical boundaries)."""
+    """Running-sum CDF over ``classes`` (Python floats)."""
     total = 0.0
     cdf = []
     for name in classes:
@@ -185,7 +164,7 @@ def _class_cdf(classes, distribution) -> list:
 
 
 def _likelihood_ratios(classes, rates, q) -> list:
-    """Per-class importance weights p/q (Python floats, shared)."""
+    """Per-class importance weights p/q (Python floats)."""
     for name in classes:
         if rates[name] > 0.0 and q.get(name, 0.0) <= 0.0:
             raise ValueError(
@@ -203,8 +182,7 @@ class FaultBatch:
 
     ``bank_mask`` is a uint64 bitset of affected banks (requires
     ``geometry.banks <= 64``); ``row``/``group`` use ``-1`` for *all*.
-    For nRank faults the mask is all banks — decode restores the
-    ``None`` (= all) spelling the object model uses.
+    For nRank faults the mask is all banks.
     """
 
     k: int
@@ -347,117 +325,6 @@ def _nbank_masks_array(seed, k, j, t_sel, banks) -> np.ndarray:
     return (chosen.astype(np.uint64) << lanes).sum(axis=1, dtype=np.uint64)
 
 
-def _nbank_banks_scalar(seed, k, j, trial, banks) -> list:
-    """Scalar twin of :func:`_nbank_masks_array`: the chosen bank list."""
-    count = 2 + draw(stream_key(seed, k, j, F_NBANK_COUNT), trial) % (banks - 1)
-    scores = [
-        draw(stream_key(seed, k, j, F_NBANK_SCORE, bank), trial)
-        for bank in range(banks)
-    ]
-    order = sorted(range(banks), key=scores.__getitem__)
-    return order[:count]
-
-
-def sample_trial_faults(
-    config: FaultSimConfig,
-    k: int,
-    trial: int,
-    q: Optional[dict] = None,
-) -> Tuple[list, float]:
-    """Scalar twin of :func:`sample_batch` for one global trial index.
-
-    Returns ``(faults, likelihood_ratio)`` with
-    :class:`~repro.faults.fault_model.Fault` objects — the reference the
-    differential prover holds the vector encoding against.
-    """
-    geometry = config.geometry
-    classes = tuple(config.relative_rates)
-    dist = q if q is not None else config.relative_rates
-    cdf = _class_cdf(classes, dist)
-    ratios = (
-        _likelihood_ratios(classes, config.relative_rates, q)
-        if q is not None
-        else None
-    )
-    seed = config.seed
-    faults = []
-    weight = 1.0
-    for j in range(k):
-        u = _unit_float(draw(stream_key(seed, k, j, F_CLASS), trial))
-        cls = min(bisect.bisect_right(cdf, u), len(classes) - 1)
-        name = classes[cls]
-        if ratios is not None:
-            weight = weight * ratios[cls]
-        rank = draw(stream_key(seed, k, j, F_RANK), trial) % geometry.ranks
-        chip_pos = (
-            draw(stream_key(seed, k, j, F_CHIP), trial)
-            % geometry.chips_per_rank
-        )
-        chip = rank * geometry.chips_per_rank + chip_pos
-        bank = draw(stream_key(seed, k, j, F_BANK), trial) % geometry.banks
-        row = draw(stream_key(seed, k, j, F_ROW), trial) % geometry.rows
-        group = (
-            draw(stream_key(seed, k, j, F_GROUP), trial)
-            % geometry.blocks_per_row
-        )
-        if name in ("bit", "word"):
-            extent = Extent(
-                frozenset([bank]), frozenset([row]), frozenset([group])
-            )
-        elif name == "column":
-            extent = Extent(frozenset([bank]), None, frozenset([group]))
-        elif name == "row":
-            extent = Extent(frozenset([bank]), frozenset([row]), None)
-        elif name == "bank":
-            extent = Extent(frozenset([bank]), None, None)
-        elif name == "nbank":
-            banks = _nbank_banks_scalar(seed, k, j, trial, geometry.banks)
-            extent = Extent(frozenset(banks), None, None)
-        elif name == "nrank":
-            extent = Extent(None, None, None)
-        else:
-            raise ValueError(f"unknown fault class {name!r}")
-        faults.append(
-            Fault(name, chip, rank, extent, multibit=(name != "bit"))
-        )
-    return faults, weight
-
-
-def decode_trial(batch: FaultBatch, index: int, geometry) -> list:
-    """Decode one batch row back into :class:`Fault` objects.
-
-    Class-aware so the result is *structurally identical* to the scalar
-    twin's faults (nRank restores ``banks=None``, not the full set).
-    """
-    faults = []
-    for j in range(batch.k):
-        name = batch.classes[int(batch.class_index[index, j])]
-        mask = int(batch.bank_mask[index, j])
-        row = int(batch.row[index, j])
-        group = int(batch.group[index, j])
-        if name == "nrank":
-            banks = None
-        else:
-            banks = frozenset(
-                b for b in range(geometry.banks) if mask >> b & 1
-            )
-        extent = Extent(
-            banks=banks,
-            rows=None if row < 0 else frozenset([row]),
-            groups=None if group < 0 else frozenset([group]),
-        )
-        faults.append(
-            Fault(
-                name,
-                int(batch.chip[index, j]),
-                int(batch.rank[index, j]),
-                extent,
-                multibit=bool(batch.multibit[index, j]),
-            )
-        )
-    return faults
-
-
 # ---------------------------------------------------------------------------
 # vectorized ECC evaluation
 # ---------------------------------------------------------------------------
@@ -467,8 +334,7 @@ _ALL = np.int32(-1)
 _EMPTY = np.int32(-2)
 
 #: Above this many DUE regions in one rank, inclusion-exclusion (2^n
-#: terms) is replaced by the additive upper bound — same threshold as
-#: ``union_block_count``.
+#: terms) is replaced by the additive upper bound.
 UNION_EXACT_LIMIT = 14
 
 _PC_M1 = _U(0x5555555555555555)
@@ -493,10 +359,10 @@ def _meet_coord(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _candidates(batch: FaultBatch, repair: str):
     """Enumerate candidate DUE regions as (n, C) arrays.
 
-    Each candidate mirrors exactly one term of the object model's
+    Each candidate mirrors exactly one term of the object ECC model's
     enumeration (single faults and/or slot combinations), so for every
     trial the multiset of valid candidates per rank equals the multiset
-    of ``DueRegion``s the scalar ECC model produces.
+    of ``DueRegion``s :mod:`repro.faults.ecc` produces.
     """
     k = batch.k
     n = batch.trials
@@ -580,7 +446,7 @@ def _candidates(batch: FaultBatch, repair: str):
 
 
 def _region_blocks(mask: int, row: int, group: int, geometry) -> int:
-    """Blocks covered by one int-encoded region (scalar)."""
+    """Blocks covered by one int-encoded region."""
     blocks = mask.bit_count()
     blocks *= geometry.rows if row == -1 else 1
     blocks *= geometry.blocks_per_row if group == -1 else 1
@@ -590,8 +456,8 @@ def _region_blocks(mask: int, row: int, group: int, geometry) -> int:
 def _union_regions(regions, geometry) -> int:
     """Exact inclusion-exclusion union of int-encoded regions.
 
-    Mirrors ``union_block_count``'s inner loop on the (mask, row, group)
-    encoding; all-integer arithmetic, so term order cannot matter.
+    Works on the (mask, row, group) encoding with all-integer
+    arithmetic, so term order cannot matter.
     """
     total = 0
     n = len(regions)
@@ -627,8 +493,8 @@ def evaluate_batch(
     ``(n, ranks)``.  Trials whose per-rank region count exceeds
     :data:`UNION_EXACT_LIMIT` fall back to the additive upper bound —
     each event is reported through ``on_approximation(region_count)``
-    (matching ``union_block_count``) and summarized in a single warning
-    per affected rank instead of one warning per trial.
+    and summarized in a single warning per affected rank instead of one
+    warning per trial.
     """
     geometry = config.geometry
     n = batch.trials
@@ -687,7 +553,7 @@ def evaluate_batch(
 
 
 # ---------------------------------------------------------------------------
-# shared per-trial reductions (bit-identical across engines)
+# per-trial reductions
 # ---------------------------------------------------------------------------
 
 def trial_moment_arrays(u_total, per_rank, geometry, max_depth: int = 5):
@@ -695,8 +561,8 @@ def trial_moment_arrays(u_total, per_rank, geometry, max_depth: int = 5):
 
     Returns ``(fraction, powers, crosses)`` where ``powers[d]`` is the
     per-trial ``fraction**d`` and ``crosses[d]`` the round-robin
-    cross-rank product — computed with one multiply per depth in the
-    same order for any engine, so results are bitwise reproducible.
+    cross-rank product — computed with one multiply per depth in a
+    fixed order, so results are bitwise reproducible.
     """
     fraction = u_total / geometry.total_blocks
     rank_fraction = per_rank / geometry.blocks_per_rank
@@ -715,10 +581,8 @@ def trial_moment_arrays(u_total, per_rank, geometry, max_depth: int = 5):
 def aggregate_outputs(u_total, per_rank, geometry, max_depth: int = 5):
     """Reduce per-trial counts to the sums ``FaultSimulator.run`` needs.
 
-    Returns ``(blocks_sum, due_count, moment_sums, cross_sums)``.  Both
-    engines produce identical ``(u_total, per_rank)`` integers, and this
-    single reduction is the only float path — which is what makes the
-    vector and scalar engines bit-identical end to end.
+    Returns ``(blocks_sum, due_count, moment_sums, cross_sums)``; this
+    single reduction is the only float path of ``FaultSimulator.run``.
     """
     _, powers, crosses = trial_moment_arrays(
         u_total, per_rank, geometry, max_depth
@@ -742,34 +606,25 @@ def batch_outputs(
     k: int,
     start_trial: int,
     trials: int,
-    engine: str = "vector",
     q: Optional[dict] = None,
     on_approximation=None,
 ):
-    """Run ``trials`` conditioned k-fault trials on the chosen engine.
+    """Run ``trials`` conditioned k-fault trials.
 
     Returns ``(u_total, per_rank, weights)``; identical for any chunking
     because trial identity is the global index.
     """
-    engine = resolve_engine(engine)
     geometry = config.geometry
     u_parts, rank_parts, weight_parts = [], [], []
     for offset in range(0, trials, _CHUNK_TRIALS):
         count = min(_CHUNK_TRIALS, trials - offset)
-        start = start_trial + offset
-        if engine == "vector":
-            batch = sample_batch(config, k, start, count, q=q)
-            u_chunk, rank_chunk = evaluate_batch(
-                batch, config, on_approximation=on_approximation
-            )
-            weight_chunk = batch.weight
-        else:
-            u_chunk, rank_chunk, weight_chunk = _scalar_chunk(
-                config, k, start, count, q, on_approximation
-            )
+        batch = sample_batch(config, k, start_trial + offset, count, q=q)
+        u_chunk, rank_chunk = evaluate_batch(
+            batch, config, on_approximation=on_approximation
+        )
         u_parts.append(u_chunk)
         rank_parts.append(rank_chunk)
-        weight_parts.append(weight_chunk)
+        weight_parts.append(batch.weight)
     if not u_parts:
         return (
             np.zeros(0, dtype=np.int64),
@@ -781,33 +636,6 @@ def batch_outputs(
         np.concatenate(rank_parts),
         np.concatenate(weight_parts),
     )
-
-
-def _scalar_chunk(config, k, start_trial, trials, q, on_approximation):
-    """Reference engine: scalar counter sampler + the object ECC model."""
-    from repro.faults.faultsim import union_block_count
-
-    geometry = config.geometry
-    ecc = make_ecc(config.repair)
-    u_total = np.zeros(trials, dtype=np.int64)
-    per_rank = np.zeros((trials, geometry.ranks), dtype=np.int64)
-    weights = np.ones(trials, dtype=np.float64)
-    for i in range(trials):
-        faults, weight = sample_trial_faults(
-            config, k, start_trial + i, q=q
-        )
-        weights[i] = weight
-        regions = ecc.uncorrectable_regions(faults, geometry)
-        if not regions:
-            continue
-        for rank in range(geometry.ranks):
-            rank_regions = [r for r in regions if r.rank == rank]
-            if rank_regions:
-                per_rank[i, rank] = union_block_count(
-                    rank_regions, geometry, on_approximation=on_approximation
-                )
-        u_total[i] = per_rank[i].sum()
-    return u_total, per_rank, weights
 
 
 # ---------------------------------------------------------------------------
@@ -877,7 +705,6 @@ class McBatchSpec:
     importance: Optional[tuple]  # ((class, q), ...) or None
     scheme_coefs: tuple          # ((name, ((depth, coef), ...)), ...)
     stats_depth: int
-    engine: str = "vector"
 
     @property
     def label(self) -> str:
@@ -898,7 +725,6 @@ def run_mc_batch(spec: McBatchSpec) -> McBatchStat:
         spec.k,
         spec.start_trial,
         spec.trials,
-        engine=spec.engine,
         q=q,
         on_approximation=note,
     )
@@ -1098,7 +924,6 @@ def run_mc_campaign(
     importance: Optional[dict] = None,
     schemes=None,
     data_bytes: int = DEFAULT_DATA_BYTES,
-    engine: str = "vector",
     jobs: int = 1,
     checkpoint=None,
     resume: bool = False,
@@ -1146,7 +971,8 @@ def run_mc_campaign(
         raise ValueError("batch_trials must be >= 1")
     if resume and checkpoint is None:
         raise ValueError("resume requires a checkpoint directory")
-    registry = registry or MetricRegistry()
+    if registry is None:
+        registry = MetricRegistry()
     if schemes is None:
         from repro.schemes import scheme_names
 
@@ -1200,7 +1026,6 @@ def run_mc_campaign(
                 importance=importance_spec,
                 scheme_coefs=scheme_coefs,
                 stats_depth=stats_depth,
-                engine=engine,
             )
             for k in ks
         ]
@@ -1370,51 +1195,27 @@ def mc_report(result: McCampaignResult) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# engine A/B benchmark
+# throughput micro-benchmark
 # ---------------------------------------------------------------------------
 
 def mc_bench(
     fit: float = 80.0, trials_per_k: int = 1_500, seed: int = 2021
 ) -> dict:
-    """Time the vector engine against the scalar reference.
-
-    Both runs share the counter RNG, so their results must be
-    bit-identical; the payload carries that verdict plus trials/s and
-    the speedup the CI smoke leg gates on (>= 10x).
-    """
+    """Time one pinned ``FaultSimulator.run`` campaign (trials/s)."""
     import time
-    from dataclasses import asdict
 
     from repro.faults.faultsim import FaultSimulator
 
     config = FaultSimConfig(fit_per_device=fit, seed=seed)
-    legs = {}
-    results = {}
-    buckets = MAX_FAULTS + 1 - min_faults_for_due(config.repair)
-    for engine in _ENGINES:
-        simulator = FaultSimulator(config)
-        started = time.perf_counter()
-        result = simulator.run(trials_per_k=trials_per_k, engine=engine)
-        wall = time.perf_counter() - started
-        results[engine] = result
-        legs[engine] = {
-            "wall_s": round(wall, 4),
-            "trials": trials_per_k * buckets,
-            "trials_per_s": (
-                round(trials_per_k * buckets / wall, 1) if wall else 0.0
-            ),
-        }
-    identical = asdict(results["vector"]) == asdict(results["scalar"])
-    speedup = (
-        round(legs["scalar"]["wall_s"] / legs["vector"]["wall_s"], 2)
-        if legs["vector"]["wall_s"]
-        else float("inf")
-    )
+    trials = trials_per_k * (MAX_FAULTS + 1 - min_faults_for_due(config.repair))
+    started = time.perf_counter()
+    result = FaultSimulator(config).run(trials_per_k=trials_per_k)
+    wall = time.perf_counter() - started
     return {
         "fit_per_device": fit,
         "trials_per_k": trials_per_k,
-        "engines": legs,
-        "speedup": speedup,
-        "identical": identical,
-        "p_block_due": results["vector"].p_block_due,
+        "wall_s": round(wall, 4),
+        "trials": trials,
+        "trials_per_s": round(trials / wall, 1) if wall else 0.0,
+        "p_block_due": result.p_block_due,
     }

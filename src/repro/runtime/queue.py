@@ -191,7 +191,7 @@ class WorkQueue:
         self.ttl = float(ttl)
         self.now = now
         self.owner = owner or default_owner_id()
-        self.registry = registry or MetricRegistry()
+        self.registry = MetricRegistry() if registry is None else registry
         m = register_lease_instruments(self.registry)
         self._m_claims = m["claims"]
         self._m_reclaims = m["reclaims"]

@@ -109,7 +109,7 @@ class ResultStore:
         from repro.telemetry import MetricRegistry
 
         self.directory = os.fspath(directory)
-        self.registry = registry or MetricRegistry()
+        self.registry = MetricRegistry() if registry is None else registry
         m = register_store_instruments(self.registry)
         self._m_hits = m["hits"]
         self._m_misses = m["misses"]

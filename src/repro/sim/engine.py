@@ -39,60 +39,14 @@ reproduced exactly rather than approximately.  After several releases
 of differential soak with zero divergence the scalar loop was retired;
 its observable behavior is pinned by the committed replay corpus that
 :mod:`repro.verify.engine_diff` (``repro engine-diff``) checks the
-vector engine against on every run.  Selecting ``engine="scalar"`` (or
-``REPRO_SIM_ENGINE=scalar``) now raises with a pointer to that prover.
+vector engine against on every run.
 """
 
 from __future__ import annotations
 
-import os
 from itertools import islice
 
 import numpy as np
-
-#: Engine selector values for ``SecureSystem.run(engine=...)``.
-ENGINE_VECTOR = "vector"
-#: Retired: the scalar reference interpreter was removed after the
-#: differential soak finished (kept as a constant so the deprecation
-#: error can name it precisely).
-ENGINE_SCALAR = "scalar"
-ENGINES = (ENGINE_VECTOR,)
-
-#: Environment override for the default engine.  Historically
-#: ``REPRO_SIM_ENGINE=scalar`` flipped every run to the reference
-#: interpreter; that engine is retired, so the only accepted value is
-#: ``vector`` and ``scalar`` raises the deprecation error.
-ENGINE_ENV_VAR = "REPRO_SIM_ENGINE"
-
-_SCALAR_RETIRED_MSG = (
-    "the scalar reference engine has been retired: the vectorized "
-    "engine is the only simulation loop, and its behavior is pinned "
-    "by the committed replay corpus (run `repro engine-diff` to "
-    "re-prove it; see repro.verify.engine_diff)"
-)
-
-
-def default_engine() -> str:
-    """The engine used when a run does not pick one explicitly."""
-    engine = os.environ.get(ENGINE_ENV_VAR, ENGINE_VECTOR)
-    if engine == ENGINE_SCALAR:
-        raise ValueError(f"{ENGINE_ENV_VAR}={engine!r}: {_SCALAR_RETIRED_MSG}")
-    if engine not in ENGINES:
-        raise ValueError(
-            f"{ENGINE_ENV_VAR}={engine!r}: valid engines are {ENGINES}"
-        )
-    return engine
-
-
-def resolve_engine(engine) -> str:
-    """Validate an ``engine=`` argument (None → :func:`default_engine`)."""
-    if engine is None or engine == "":
-        return default_engine()
-    if engine == ENGINE_SCALAR:
-        raise ValueError(f"engine {engine!r}: {_SCALAR_RETIRED_MSG}")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; valid: {ENGINES}")
-    return engine
 
 
 class BatchEngine:

@@ -73,7 +73,6 @@ from repro.runtime import (
 from repro.runtime.supervision import CRASHED, TIMEOUT, CellState
 from repro.schemes import PAPER_SCHEMES
 from repro.sim.config import SystemConfig
-from repro.sim.engine import default_engine
 from repro.sim.system import SecureSystem, _workload_seed
 from repro.telemetry import SCHEMA_VERSION as TELEMETRY_SCHEMA
 from repro.telemetry import MetricRegistry
@@ -101,12 +100,6 @@ class SimCell:
     #: so verified sweeps keep the jobs=1 == jobs=N bit-equality
     #: contract — including the embedded ``verify`` report.
     verify: bool = False
-    #: Simulation engine; "" means the session default
-    #: (:func:`repro.sim.engine.default_engine`, i.e. ``"vector"`` —
-    #: the retired ``"scalar"`` value now raises).  Part of the cell
-    #: description — and of ``cell_key`` — because the engine a cell
-    #: ran under is provenance.
-    engine: str = ""
 
     @property
     def label(self) -> str:
@@ -176,7 +169,7 @@ def run_sim_cell(cell: SimCell):
         rng=np.random.default_rng(cell.seed),
     )
     return system.run(workload, warmup_refs=cell.warmup_refs,
-                      verify=cell.verify, engine=cell.engine or None)
+                      verify=cell.verify)
 
 
 def _timed_call(runner, cell):
@@ -289,7 +282,7 @@ class SweepEngine:
                 "parallelism (jobs ignored)", RuntimeWarning,
             )
 
-        self.registry = registry or MetricRegistry()
+        self.registry = MetricRegistry() if registry is None else registry
         ensure = self.registry.ensure
         self._m_retries = ensure(
             "counter", "runtime.retries",
@@ -955,8 +948,7 @@ BENCH_GCC_REFS_FACTOR = 5
 
 
 def bench_cells(refs: int = 20_000, footprint_mb: int = 8,
-                memory_mb: int = 32, seed: int = 2021,
-                engine: str = "") -> list:
+                memory_mb: int = 32, seed: int = 2021) -> list:
     """The pinned 5-workload x 3-scheme benchmark grid."""
     config = SystemConfig.scaled(memory_mb=memory_mb)
     kwargs = {"footprint_bytes": footprint_mb << 20, "num_refs": refs}
@@ -971,8 +963,7 @@ def bench_cells(refs: int = 20_000, footprint_mb: int = 8,
         }),
     ]
     return [
-        SimCell(workload=spec, scheme=scheme, config=config, seed=seed,
-                engine=engine)
+        SimCell(workload=spec, scheme=scheme, config=config, seed=seed)
         for spec in specs
         for scheme in BENCH_SCHEMES
     ]
@@ -1072,9 +1063,7 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
             "write_p95_ns": latency.get("write", {}).get("p95"),
         })
 
-    # Monte-Carlo engine A/B: time the vectorized FaultSim trial core
-    # against its scalar reference on one pinned campaign (bit-equal by
-    # construction; the mc-smoke CI leg gates on >= 10x).
+    # Monte-Carlo throughput: one pinned FaultSim campaign (trials/s).
     from repro.faults import mc_bench
 
     mc = mc_bench(seed=seed)
@@ -1084,11 +1073,10 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
     store_cell_wall = sum(o.wall_seconds for o in store_leg if o.ok)
     store_overhead = max(0.0, store_wall - store_cell_wall)
     return {
-        # v4: scalar comparison leg retired with the scalar engine
-        # (its behavior is pinned by the engine-replay fixture); adds
-        # the cold content-addressed store leg and its overhead budget.
-        "schema": "bench_perf/v4",
-        "engine": default_engine(),
+        # v5: the Monte-Carlo block keeps only the vector engine's
+        # throughput (the scalar reference is retired; its behavior is
+        # pinned by the mc-diff replay fixture).
+        "schema": "bench_perf/v5",
         "telemetry_schema": TELEMETRY_SCHEMA,
         "refs": refs,
         "jobs": jobs,

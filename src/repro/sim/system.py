@@ -109,7 +109,7 @@ class SecureSystem:
         self.registry.reset()
 
     def run(self, workload, warmup_refs: int = 0, op_hook=None,
-            verify=False, engine: str = None) -> SimResult:
+            verify=False) -> SimResult:
         """Run one workload's reference stream to completion.
 
         ``warmup_refs`` replicates the paper's methodology ("we create
@@ -135,20 +135,12 @@ class SecureSystem:
         dict of ``VerifySession`` keyword options.  The report lands in
         ``SimResult.verify``.
 
-        ``engine`` selects the hot-loop implementation.  ``"vector"``
-        (the batched array engine in :mod:`repro.sim.engine`) is the
-        only engine; the historical ``"scalar"`` reference interpreter
-        was retired after the differential soak and now raises a clear
-        deprecation error.  The vector engine's observable behavior —
-        ``SimResult``, registry snapshots, controller traffic, per-op
-        event stream — is pinned by the committed replay corpus that
-        ``repro engine-diff`` checks (engine-replay CI job).  ``None``
-        defers to the ``REPRO_SIM_ENGINE`` environment override, then
-        ``"vector"``.
+        The hot loop is the batched array engine in
+        :mod:`repro.sim.engine`; its observable behavior — ``SimResult``,
+        registry snapshots, controller traffic, per-op event stream — is
+        pinned by the committed replay corpus that ``repro engine-diff``
+        checks (engine-replay CI job).
         """
-        from repro.sim.engine import resolve_engine
-
-        resolve_engine(engine)
         controller = self.controller
 
         session = None

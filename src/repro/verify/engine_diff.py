@@ -48,6 +48,11 @@ import numpy as np
 
 from repro.sim.config import SystemConfig
 from repro.sim.system import SecureSystem
+from repro.verify.replay_fixture import (
+    load_fixture,
+    replay_report,
+    write_fixture,
+)
 from repro.workloads.base import Workload
 
 #: Schema stamp for :func:`run_engine_diff` payloads.
@@ -139,6 +144,16 @@ def _observe(build) -> dict:
     })
 
 
+def _row(case: dict, mismatched: list, observed: dict) -> dict:
+    return {
+        "name": case["name"],
+        "kind": case["kind"],
+        "identical": not mismatched,
+        "mismatched": mismatched,
+        "error": observed["error"],
+    }
+
+
 def run_case(case: dict, pinned) -> dict:
     """Run one case and diff it against its pinned observation.
 
@@ -153,13 +168,7 @@ def run_case(case: dict, pinned) -> dict:
         mismatched = [
             key for key in _COMPARED_KEYS if observed[key] != pinned.get(key)
         ]
-    return {
-        "name": case["name"],
-        "kind": case["kind"],
-        "identical": not mismatched,
-        "mismatched": mismatched,
-        "error": observed["error"],
-    }
+    return _row(case, mismatched, observed)
 
 
 # ----------------------------------------------------------------------
@@ -277,51 +286,6 @@ def chaos_cases(refs: int = 4000) -> list:
 
 
 # ----------------------------------------------------------------------
-# fixture I/O
-
-
-def load_fixture(path: str = DEFAULT_FIXTURE) -> dict:
-    """Load and sanity-check the pinned replay fixture."""
-    with open(path) as fh:
-        fixture = json.load(fh)
-    if fixture.get("schema") != REPLAY_SCHEMA:
-        raise ValueError(
-            f"{path}: schema {fixture.get('schema')!r} != {REPLAY_SCHEMA!r}"
-        )
-    return fixture
-
-
-def record_fixture(cases: list, path: str = DEFAULT_FIXTURE,
-                   refs: int = 4000, progress=None) -> dict:
-    """Observe every case and pin the fixture at ``path``.
-
-    The header records the trace length the observations were taken
-    under; replays refuse an explicit mismatching ``refs`` (the traces
-    would legitimately differ and every case would "fail").
-    """
-    from repro.runtime.atomic import atomic_write_json
-
-    observations = {}
-    for case in cases:
-        observations[case["name"]] = _observe(case["build"])
-        if progress is not None:
-            progress({
-                "name": case["name"], "kind": case["kind"],
-                "identical": True, "mismatched": [],
-                "error": observations[case["name"]]["error"],
-            })
-    fixture = {
-        "schema": REPLAY_SCHEMA,
-        "refs": refs,
-        "corpus_tile": CORPUS_TILE,
-        "cases": observations,
-    }
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    atomic_write_json(path, fixture)
-    return fixture
-
-
-# ----------------------------------------------------------------------
 # the suite
 
 
@@ -334,7 +298,8 @@ def run_engine_diff(corpus_dir: str = "tests/corpus", refs: int = None,
     ``identical`` is the headline verdict: True iff *every* case —
     corpus, sweep, and chaos — reproduced its pinned observation
     bit-for-bit.  ``refs=None`` defers to the fixture's pinned trace
-    length.
+    length; an explicit mismatching ``refs`` is refused (the traces
+    would legitimately differ and every case would "fail").
 
     ``record=True`` re-pins the fixture instead of comparing — the
     sanctioned path for intentional behavior changes; the fixture diff
@@ -342,54 +307,37 @@ def run_engine_diff(corpus_dir: str = "tests/corpus", refs: int = None,
     """
     if record:
         refs = refs or 4000
-        cases = (
-            corpus_cases(corpus_dir)
-            + sweep_cases(refs=refs, quick=quick)
-            + chaos_cases(refs=refs)
-        )
-        payload = record_fixture(
-            cases, path=fixture, refs=refs, progress=progress
-        )
-        rows = [
-            {"name": name, "kind": name.split(":", 1)[0],
-             "identical": True, "mismatched": [],
-             "error": obs["error"]}
-            for name, obs in payload["cases"].items()
-        ]
-        return {
-            "schema": ENGINE_DIFF_SCHEMA,
-            "fixture": fixture,
-            "recorded": True,
-            "cases": rows,
-            "total": len(rows),
-            "identical": True,
-        }
-
-    pinned = load_fixture(fixture)
-    pinned_refs = pinned.get("refs", 4000)
-    if refs is not None and refs != pinned_refs:
-        raise ValueError(
-            f"refs={refs} but the fixture is pinned at refs={pinned_refs}; "
-            "omit --refs to replay at the pinned length, or re-pin with "
-            "--record"
-        )
-    refs = pinned_refs
+    else:
+        pinned = load_fixture(fixture, REPLAY_SCHEMA)
+        pinned_refs = pinned.get("refs", 4000)
+        if refs is not None and refs != pinned_refs:
+            raise ValueError(
+                f"refs={refs} but the fixture is pinned at "
+                f"refs={pinned_refs}; omit --refs to replay at the pinned "
+                "length, or re-pin with --record"
+            )
+        refs = pinned_refs
     cases = (
         corpus_cases(corpus_dir)
         + sweep_cases(refs=refs, quick=quick)
         + chaos_cases(refs=refs)
     )
     rows = []
+    observations = {}
     for case in cases:
-        row = run_case(case, pinned["cases"].get(case["name"]))
+        if record:
+            observed = observations[case["name"]] = _observe(case["build"])
+            row = _row(case, [], observed)
+        else:
+            row = run_case(case, pinned["cases"].get(case["name"]))
         rows.append(row)
         if progress is not None:
             progress(row)
-    return {
-        "schema": ENGINE_DIFF_SCHEMA,
-        "fixture": fixture,
-        "recorded": False,
-        "cases": rows,
-        "total": len(rows),
-        "identical": all(row["identical"] for row in rows),
-    }
+    if record:
+        write_fixture(fixture, {
+            "schema": REPLAY_SCHEMA,
+            "refs": refs,
+            "corpus_tile": CORPUS_TILE,
+            "cases": observations,
+        })
+    return replay_report(ENGINE_DIFF_SCHEMA, fixture, rows, record)

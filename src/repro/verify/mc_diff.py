@@ -1,37 +1,39 @@
-"""Differential prover: vectorized vs scalar FaultSim bit-equality.
+"""Replay prover: the Monte-Carlo core vs its pinned behavior corpus.
 
-The vectorized Monte-Carlo core (:mod:`repro.faults.mc`) claims **bit
-identity** with its scalar reference — same random streams, same
-per-trial fault sets, same DUE regions and unique-block counts, same
-importance-sampling weights, and therefore the same
-:class:`~repro.faults.faultsim.FaultSimResult` floats.  This module is
-the evidence, layer by layer, so a mismatch localizes the bug:
+The vectorized Monte-Carlo core (:mod:`repro.faults.mc`) was developed
+as a bit-identical replacement for a scalar reference engine (the same
+counter-based RNG driving the original
+:class:`~repro.faults.fault_model.Fault` objects, ECC model and
+inclusion-exclusion union).  The committed replay fixture
+(``tests/fixtures/mc_replay.json``, schema ``mc_replay/v1``) was
+recorded by the live vector-vs-scalar prover with every case
+identical; it is the contract the core is held to, layer by layer, so
+a mismatch localizes the drift:
 
-* **rng** — the SplitMix64 scalar reference against the uint64 array
-  twin, value by value, over pinned keys;
-* **sampler** — vector batches decoded back to
-  :class:`~repro.faults.fault_model.Fault` objects against the scalar
-  twin sampler, trial by trial (same RNG stream discipline as
-  ``repro engine-diff``: both sides consume identical keyed streams);
-* **trial** — per-trial ``(unique DUE blocks, per-rank split, weight)``
-  from the vectorized ECC evaluator against the original object model +
-  ``union_block_count``, including the multiset of >14-region additive
-  fallback events;
-* **result** — end-to-end ``FaultSimulator.run`` equality on every
-  float;
-* **batching** — one contiguous vector evaluation against ragged
-  chunkings of the same trial range (batch-size invariance);
-* **importance** — likelihood ratios under a biased class distribution,
-  computed independently by both samplers.
+* **rng** — SplitMix64 probe words, derived stream keys, and digests of
+  keyed draw streams;
+* **sampler** — a sha256 of every array of a sampled
+  :class:`~repro.faults.mc.FaultBatch`;
+* **trial** — per-trial ``u_total``/``per_rank``/``weight`` digests and
+  the multiset of >14-region additive fallback events;
+* **result** — every :class:`~repro.faults.faultsim.FaultSimResult`
+  float of ``FaultSimulator.run``, as its exact repr;
+* **importance** — the trial layer under a biased class distribution,
+  which pins the likelihood-ratio weights;
+* **batching** — a live self-consistency check with no fixture entry:
+  ragged chunkings of a trial range equal one contiguous run.
 
 The corpus pins seeds, every ECC model, a degenerate geometry, and a
 fault-count bucket that exercises the additive union fallback.
-``repro mc-diff`` runs it from the shell; the ``mc-smoke`` CI job gates
-merges on it.
+``repro mc-diff`` replays it from the shell; ``repro mc-diff --record``
+re-pins it after an intentional behavior change (review the fixture
+diff like any golden file).
 """
 
 from __future__ import annotations
 
+import hashlib
+import os
 import warnings
 from dataclasses import asdict
 
@@ -41,9 +43,24 @@ from repro.faults import mc
 from repro.faults.config import FaultSimConfig
 from repro.faults.faultsim import FaultSimulator
 from repro.memory.geometry import DimmGeometry
+from repro.verify.replay_fixture import (
+    load_fixture,
+    replay_report,
+    write_fixture,
+)
 
 #: Schema stamp for :func:`run_mc_diff` payloads.
-MC_DIFF_SCHEMA = "mc_diff/v1"
+MC_DIFF_SCHEMA = "mc_diff/v2"
+
+#: Schema stamp for the committed replay fixture.
+REPLAY_SCHEMA = "mc_replay/v1"
+
+#: Where the pinned behavior corpus lives (repo-relative).
+DEFAULT_FIXTURE = os.path.join("tests", "fixtures", "mc_replay.json")
+
+#: Trials per trial/batching case the fixture is recorded at; the
+#: other layers derive their sizes from it (see :func:`build_cases`).
+DEFAULT_TRIALS = 1500
 
 
 def _row(name: str, kind: str, mismatched: list) -> dict:
@@ -131,90 +148,89 @@ def diff_configs() -> list:
 
 
 # ----------------------------------------------------------------------
-# case layers
+# observations
 
 
-def rng_case() -> dict:
-    """SplitMix64 scalar reference vs the uint64 array twin."""
-    mismatched = []
-    probes = [0, 1, 2021, 1 << 32, (1 << 63) + 12345, (1 << 64) - 1]
-    vector = mc.mix64_array(np.array(probes, dtype=np.uint64))
-    for i, probe in enumerate(probes):
-        if mc.mix64(probe) != int(vector[i]):
-            mismatched.append(f"mix64:{probe:#x}")
-    for key_parts in [(2021, 2, 0, mc.F_CLASS), (3, 8, 7, mc.F_ROW),
-                      (17, 5, 3, mc.F_NBANK_SCORE, 63)]:
-        key = mc.stream_key(*key_parts)
-        trials = np.arange(0, 512, dtype=np.uint64)
-        vector = mc.draw_array(key, trials)
-        for t in range(512):
-            if mc.draw(key, t) != int(vector[t]):
-                mismatched.append(f"draw:{key_parts}:{t}")
-                break
-    return _row("rng:splitmix64", "rng", mismatched)
+def _sha256(*arrays) -> str:
+    """Digest of arrays' dtypes, shapes and bytes."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        array = np.ascontiguousarray(array)
+        digest.update(f"{array.dtype.str}{array.shape}".encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
 
 
-def sampler_case(name, config, k, trials: int) -> dict:
-    """Decoded vector batches vs the scalar twin, fault by fault."""
+def _exact(value):
+    """JSON-able copy with every float spelled as its exact repr."""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, dict):
+        return {str(key): _exact(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_exact(item) for item in value]
+    return value
+
+
+_RNG_PROBES = (0, 1, 2021, 1 << 32, (1 << 63) + 12345, (1 << 64) - 1)
+_RNG_KEYS = ((2021, 2, 0, mc.F_CLASS), (3, 8, 7, mc.F_ROW),
+             (17, 5, 3, mc.F_NBANK_SCORE, 63))
+_BATCH_FIELDS = ("class_index", "rank", "chip", "bank_mask", "row",
+                 "group", "multibit", "weight")
+
+
+def observe_rng() -> dict:
+    """SplitMix64 words, stream keys, and 512-word draw digests."""
+    words = mc.mix64_array(np.array(_RNG_PROBES, dtype=np.uint64))
+    trials = np.arange(0, 512, dtype=np.uint64)
+    return {
+        "mix64": [f"{int(word):#018x}" for word in words],
+        "stream_keys": [
+            f"{mc.stream_key(*parts):#018x}" for parts in _RNG_KEYS
+        ],
+        "draws": [
+            _sha256(mc.draw_array(mc.stream_key(*parts), trials))
+            for parts in _RNG_KEYS
+        ],
+    }
+
+
+def observe_sampler(config, k, trials: int) -> dict:
     batch = mc.sample_batch(config, k, 0, trials)
-    mismatched = []
-    for i in range(trials):
-        decoded = mc.decode_trial(batch, i, config.geometry)
-        reference, _ = mc.sample_trial_faults(config, k, i)
-        if decoded != reference:
-            mismatched.append(f"trial:{i}")
-            if len(mismatched) >= 5:
-                break
-    return _row(f"sampler:{name}/k{k}", "sampler", mismatched)
+    return {
+        "batch_sha256": _sha256(
+            *(getattr(batch, name) for name in _BATCH_FIELDS)
+        )
+    }
 
 
-def trial_case(name, config, k, trials: int, q=None) -> dict:
-    """Per-trial DUE integers + fallback events, vector vs object model."""
-    observations = {}
-    for engine in ("vector", "scalar"):
-        events = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            u_total, per_rank, weight = mc.batch_outputs(
-                config, k, 0, trials, engine=engine, q=q,
-                on_approximation=events.append,
-            )
-        observations[engine] = {
-            "u_total": u_total.tolist(),
-            "per_rank": per_rank.tolist(),
-            "weight": weight.tolist(),
-            "approximations": sorted(events),
-        }
-    mismatched = [
-        field
-        for field in ("u_total", "per_rank", "weight", "approximations")
-        if observations["vector"][field] != observations["scalar"][field]
-    ]
-    suffix = "/importance" if q is not None else ""
-    return _row(f"trial:{name}/k{k}{suffix}", "trial", mismatched)
+def observe_trial(config, k, trials: int, q=None) -> dict:
+    """Per-trial DUE integers, weights, and fallback events."""
+    events = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        u_total, per_rank, weight = mc.batch_outputs(
+            config, k, 0, trials, q=q, on_approximation=events.append
+        )
+    return {
+        "u_total": _sha256(u_total),
+        "per_rank": _sha256(per_rank),
+        "weight": _sha256(weight),
+        "approximations": sorted(events),
+    }
 
 
-def result_case(name, config, trials_per_k: int) -> dict:
-    """End-to-end ``FaultSimulator.run`` equality on every float."""
-    results = {}
-    for engine in ("vector", "scalar"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            results[engine] = asdict(
-                FaultSimulator(config).run(
-                    trials_per_k=trials_per_k, engine=engine
-                )
-            )
-    mismatched = [
-        key
-        for key in results["vector"]
-        if results["vector"][key] != results["scalar"][key]
-    ]
-    return _row(f"result:{name}", "result", mismatched)
+def observe_result(config, trials_per_k: int) -> dict:
+    """Every ``FaultSimResult`` field except the input config."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        result = asdict(FaultSimulator(config).run(trials_per_k=trials_per_k))
+    del result["config"]
+    return _exact(result)
 
 
-def batching_case(name, config, k, trials: int) -> dict:
-    """Batch-size invariance: ragged chunkings equal one contiguous run."""
+def check_batching(config, k, trials: int) -> list:
+    """Chunkings whose stitched outputs differ from one contiguous run."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         whole = mc.batch_outputs(config, k, 0, trials)
@@ -236,51 +252,102 @@ def batching_case(name, config, k, trials: int) -> dict:
                 np.array_equal(whole[i], stitched[i]) for i in range(3)
             ):
                 mismatched.append(split_name)
-    return _row(f"batching:{name}/k{k}", "batching", mismatched)
+    return mismatched
 
 
-def importance_case(name, config, k, trials: int) -> dict:
-    """Likelihood ratios under a biased q, both samplers independently."""
-    q = mc.importance_distribution(config.relative_rates, tilt=0.6)
-    return trial_case(name, config, k, trials, q=q)
+def build_cases(trials: int = DEFAULT_TRIALS, quick: bool = False) -> list:
+    """The corpus as ``{"name", "kind", "observe"}`` cases.
+
+    ``observe()`` returns the case's pinned observation, except for
+    ``batching`` cases, whose ``observe()`` returns the list of
+    mismatched chunkings (a live check with no fixture entry).
+    """
+    corpus = diff_configs()
+    if quick:
+        corpus = corpus[:3]
+    sampler_trials = min(trials, 400)
+    small_trials = min(trials, 800)
+    cases = [{"name": "rng:splitmix64", "kind": "rng",
+              "observe": observe_rng}]
+
+    def add(name, kind, observe, *args, **kwargs):
+        cases.append({
+            "name": name,
+            "kind": kind,
+            "observe": lambda: observe(*args, **kwargs),
+        })
+
+    for name, config, ks in corpus:
+        for k in ks:
+            add(f"sampler:{name}/k{k}", "sampler", observe_sampler,
+                config, k, sampler_trials)
+            add(f"trial:{name}/k{k}", "trial", observe_trial,
+                config, k, trials)
+        add(f"result:{name}", "result", observe_result, config,
+            small_trials)
+        add(f"batching:{name}/k{ks[-1]}", "batching", check_batching,
+            config, ks[-1], trials)
+        q = mc.importance_distribution(config.relative_rates, tilt=0.6)
+        add(f"trial:{name}/k{ks[-1]}/importance", "trial", observe_trial,
+            config, ks[-1], small_trials, q=q)
+    return cases
+
+
+def run_case(case: dict, pinned) -> dict:
+    """Run one case and diff it against its pinned observation.
+
+    ``pinned`` is the fixture entry for this case, or ``None`` when the
+    fixture has never recorded it (a new case ⇒ re-pin with
+    ``--record``).  Batching cases ignore ``pinned``.
+    """
+    observed = case["observe"]()
+    if case["kind"] == "batching":
+        mismatched = observed
+    elif pinned is None:
+        mismatched = ["missing-from-fixture"]
+    else:
+        mismatched = [
+            key for key in observed if observed[key] != pinned.get(key)
+        ]
+    return _row(case["name"], case["kind"], mismatched)
 
 
 # ----------------------------------------------------------------------
 # the suite
 
 
-def run_mc_diff(trials: int = 1500, quick: bool = False,
-                progress=None) -> dict:
-    """Run the full differential suite; returns the report payload.
+def run_mc_diff(quick: bool = False, progress=None,
+                fixture: str = DEFAULT_FIXTURE, record: bool = False) -> dict:
+    """Replay the corpus against the fixture; returns the report.
 
-    ``identical`` is the headline verdict: True iff every layer — RNG,
-    sampler, trial evaluation, end-to-end results, batching, importance
-    weights — is bit-equal between the vector and scalar paths over the
-    pinned corpus.
+    ``identical`` is the headline verdict: True iff every case matched
+    its pinned observation and every batching check held.
+
+    ``record=True`` re-pins the fixture (at :data:`DEFAULT_TRIALS`)
+    from the current core instead of comparing — the sanctioned path
+    for intentional behavior changes.  The fixture is written only if
+    every batching check holds; ``quick`` records the quick subset.
     """
-    corpus = diff_configs()
-    if quick:
-        corpus = corpus[:3]
-        trials = min(trials, 500)
-    rows = [rng_case()]
-    if progress is not None:
-        progress(rows[-1])
-
-    def emit(row):
+    if record:
+        pinned = {"trials": DEFAULT_TRIALS, "cases": {}}
+    else:
+        pinned = load_fixture(fixture, REPLAY_SCHEMA)
+    rows = []
+    observations = {}
+    for case in build_cases(pinned["trials"], quick=quick):
+        if record and case["kind"] != "batching":
+            observations[case["name"]] = case["observe"]()
+            row = _row(case["name"], case["kind"], [])
+        else:
+            row = run_case(case, pinned["cases"].get(case["name"]))
         rows.append(row)
         if progress is not None:
             progress(row)
-
-    for name, config, ks in corpus:
-        for k in ks:
-            emit(sampler_case(name, config, k, min(trials, 400)))
-            emit(trial_case(name, config, k, trials))
-        emit(result_case(name, config, trials_per_k=min(trials, 800)))
-        emit(batching_case(name, config, ks[-1], trials))
-        emit(importance_case(name, config, ks[-1], min(trials, 800)))
-    return {
-        "schema": MC_DIFF_SCHEMA,
-        "cases": rows,
-        "total": len(rows),
-        "identical": all(row["identical"] for row in rows),
-    }
+    recorded = record and all(row["identical"] for row in rows)
+    if recorded:
+        write_fixture(fixture, {
+            "schema": REPLAY_SCHEMA,
+            "trials": DEFAULT_TRIALS,
+            "cases": observations,
+        })
+    return replay_report(MC_DIFF_SCHEMA, fixture, rows, recorded)

@@ -7,11 +7,11 @@ error when a run dies.  The scalar reference loop the engine was
 originally proven against is retired; the committed replay fixture
 (``tests/fixtures/engine_replay.json``) now carries that evidence, and
 ``repro engine-diff`` (tests below run its suite) enforces it over the
-fuzz corpus, pinned sweeps, and chaos runs.  These tests also pin the
-retirement itself: ``engine="scalar"`` must fail loudly, never fall
-back silently.
+fuzz corpus, pinned sweeps, and chaos runs.  These tests also pin that
+no engine selector remains: an ``engine=`` argument fails loudly.
 """
 
+import inspect
 import json
 from dataclasses import asdict
 
@@ -21,15 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import SecureSystem, SystemConfig
-from repro.sim.engine import (
-    ENGINE_ENV_VAR,
-    ENGINE_SCALAR,
-    ENGINE_VECTOR,
-    ENGINES,
-    default_engine,
-    resolve_engine,
-    run_batched,
-)
+from repro.sim import engine as sim_engine
+from repro.sim.engine import run_batched
 from repro.verify.engine_diff import (
     DEFAULT_FIXTURE,
     ENGINE_DIFF_SCHEMA,
@@ -73,45 +66,18 @@ def _observe(scheme, spec, seed=7, system_kwargs=None, **run_kwargs):
 
 
 class TestEngineSelection:
-    def test_default_is_vector(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert default_engine() == ENGINE_VECTOR
-        assert resolve_engine(None) == ENGINE_VECTOR
-        assert resolve_engine("") == ENGINE_VECTOR
-
-    def test_scalar_argument_raises_retirement_error(self):
-        with pytest.raises(ValueError, match="retired"):
-            resolve_engine(ENGINE_SCALAR)
-        system = _system()
-        with pytest.raises(ValueError, match="engine-diff"):
-            system.run(make_workload(GCC, seed=1), engine="scalar")
-
-    def test_scalar_env_override_raises_retirement_error(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, ENGINE_SCALAR)
-        with pytest.raises(ValueError, match="retired"):
-            default_engine()
-        # Even an implicit run must refuse, not silently fall back.
-        system = _system()
-        with pytest.raises(ValueError, match="retired"):
-            system.run(make_workload(GCC, seed=1))
-
-    def test_invalid_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "turbo")
-        with pytest.raises(ValueError, match="turbo"):
-            default_engine()
+    """The batched engine is the only loop: there is nothing to select."""
 
     def test_invalid_engine_argument_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("turbo")
         system = _system()
-        with pytest.raises(ValueError, match="unknown engine"):
-            system.run(make_workload(GCC, seed=1), engine="turbo")
-
-    def test_engines_tuple_is_vector_only(self):
-        assert ENGINES == ("vector",)
+        with pytest.raises(TypeError, match="engine"):
+            system.run(make_workload(GCC, seed=1), engine="vector")
 
     def test_scalar_loop_is_gone(self):
         assert not hasattr(SecureSystem, "_run_scalar")
+        assert "engine" not in inspect.signature(SecureSystem.run).parameters
+        for name in ("resolve_engine", "default_engine", "ENGINE_ENV_VAR"):
+            assert not hasattr(sim_engine, name)
 
 
 class TestEngineInvariance:
@@ -131,9 +97,7 @@ class TestEngineInvariance:
             else:
                 assert workload.reference_arrays() is not None
             results.append({
-                "result": asdict(
-                    system.run(workload, warmup_refs=200, engine="vector")
-                ),
+                "result": asdict(system.run(workload, warmup_refs=200)),
                 "registry": system.registry.snapshot(),
             })
         assert results[0] == results[1]
@@ -195,7 +159,7 @@ class TestReplaySuite:
         assert kinds == {"corpus", "sweep", "chaos"}
 
     def test_committed_fixture_schema(self):
-        fixture = load_fixture(DEFAULT_FIXTURE)
+        fixture = load_fixture(DEFAULT_FIXTURE, REPLAY_SCHEMA)
         assert fixture["schema"] == REPLAY_SCHEMA
         assert fixture["refs"] == 4000
         assert len(fixture["cases"]) >= 10

@@ -15,9 +15,9 @@ from repro.faults import (
     make_ecc,
     mtbf_hours,
     sample_fault,
-    union_block_count,
 )
 from repro.memory import DimmGeometry
+from tests.test_mc_properties import union_block_count
 
 GEO = DimmGeometry()
 

@@ -1,24 +1,49 @@
-"""Vectorized Monte-Carlo core: RNG twins, sampler twins, engine parity.
+"""Vectorized Monte-Carlo core: counter RNG, sampler, replay parity.
 
-The batched engine (repro.faults.mc) claims bit identity with the
-scalar reference at every layer.  These tests pin each layer
-individually — the full pinned-corpus prover lives in
-``repro.verify.mc_diff`` (see tests/test_mc_diff.py).
+The batched engine (repro.faults.mc) was proven bit-identical to a
+scalar reference before that reference was retired; the committed
+replay fixture (tests/fixtures/mc_replay.json) carries the evidence.
+These tests pin individual layers of corpus entries outside the quick
+subset that tests/test_mc_diff.py replays in full, so the two files
+check disjoint fixture entries.
 """
 
 import warnings
-from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from repro.faults import FaultSimConfig, FaultSimulator, union_block_count
+from repro.faults import FaultSimConfig, FaultSimulator, run_mc_campaign
 from repro.faults import mc
 from repro.faults.ecc import DueRegion
 from repro.faults.fault_model import Extent
+from repro.telemetry import MetricRegistry
+from repro.verify.mc_diff import (
+    DEFAULT_FIXTURE,
+    REPLAY_SCHEMA,
+    diff_configs,
+    load_fixture,
+    observe_result,
+    observe_sampler,
+    observe_trial,
+)
+from tests.test_mc_properties import union_block_count
 
 
+#: The ``chipkill/hopper`` configuration of the pinned mc-diff corpus.
 CONFIG = FaultSimConfig(fit_per_device=80, trials=4_000, seed=3)
+
+CORPUS = {name: config for name, config, _ in diff_configs()}
+
+#: One full-corpus entry per ECC model (none is in the quick subset).
+FULL_ONLY = {"chipkill": "chipkill/tiny-geometry",
+             "secded": "secded/bit-word", "none": "none/hopper"}
+
+
+@pytest.fixture(scope="module")
+def pinned():
+    fixture = load_fixture(DEFAULT_FIXTURE, REPLAY_SCHEMA)
+    return fixture["trials"], fixture["cases"]
 
 
 class TestCounterRng:
@@ -29,11 +54,13 @@ class TestCounterRng:
             assert mc.mix64(probe) == int(vector[i])
 
     def test_draw_matches_array_twin(self):
+        # draw_array(key, t) is mix64(key ^ t * stride) lane by lane.
         key = mc.stream_key(2021, 3, 1, mc.F_ROW)
         trials = np.arange(0, 256, dtype=np.uint64)
         vector = mc.draw_array(key, trials)
         for t in range(256):
-            assert mc.draw(key, t) == int(vector[t])
+            word = mc.mix64(key ^ ((t * mc._STREAM) & mc._MASK64))
+            assert word == int(vector[t])
 
     def test_stream_keys_distinct_per_field(self):
         keys = {
@@ -46,20 +73,22 @@ class TestCounterRng:
         # Global trial identity: the same (key, t) always yields the
         # same word, which is what makes chunking invariant.
         key = mc.stream_key(7, 4, 2, mc.F_CHIP)
-        assert mc.draw(key, 1234) == int(
-            mc.draw_array(key, np.array([1234], dtype=np.uint64))[0]
-        )
+        alone = mc.draw_array(key, np.array([1234], dtype=np.uint64))
+        within = mc.draw_array(key, np.arange(1000, 2000, dtype=np.uint64))
+        assert alone[0] == within[234]
 
 
 class TestSamplerTwins:
-    @pytest.mark.parametrize("k", [1, 3, 8])
-    def test_decode_matches_scalar_twin(self, k):
-        batch = mc.sample_batch(CONFIG, k, 0, 120)
-        for i in range(120):
-            decoded = mc.decode_trial(batch, i, CONFIG.geometry)
-            reference, weight = mc.sample_trial_faults(CONFIG, k, i)
-            assert decoded == reference
-            assert weight == 1.0
+    @pytest.mark.parametrize("name, k", [
+        ("none/hopper", 1), ("secded/tiny-geometry", 4),
+        ("chipkill/tiny-geometry", 8),
+    ])
+    def test_batch_matches_pinned_scalar_twin(self, pinned, name, k):
+        """The sampled arrays are the ones recorded when every decoded
+        trial matched the retired scalar sampler fault for fault."""
+        _, cases = pinned
+        observed = observe_sampler(CORPUS[name], k, 400)
+        assert observed == cases[f"sampler:{name}/k{k}"]
 
     def test_direct_weights_are_unity(self):
         batch = mc.sample_batch(CONFIG, 4, 0, 50)
@@ -80,36 +109,20 @@ class TestSamplerTwins:
 
 
 class TestEngineParity:
+    """The vector engine against the scalar reference's pinned outputs."""
+
     @pytest.mark.parametrize("repair", ["chipkill", "secded", "none"])
-    def test_run_bit_identical(self, repair):
-        config = FaultSimConfig(
-            fit_per_device=80, trials=2_000, seed=5, repair=repair
-        )
-        results = {}
-        for engine in ("vector", "scalar"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                results[engine] = asdict(
-                    FaultSimulator(config).run(
-                        trials_per_k=250, engine=engine
-                    )
-                )
-        assert results["vector"] == results["scalar"]
+    def test_run_bit_identical(self, pinned, repair):
+        trials, cases = pinned
+        name = FULL_ONLY[repair]
+        observed = observe_result(CORPUS[name], min(trials, 800))
+        assert observed == cases[f"result:{name}"]
 
-    def test_batch_outputs_parity_per_trial(self):
-        vec = mc.batch_outputs(CONFIG, 3, 0, 300, engine="vector")
-        sca = mc.batch_outputs(CONFIG, 3, 0, 300, engine="scalar")
-        for a, b in zip(vec, sca):
-            assert np.array_equal(a, b)
-
-    def test_resolve_engine_default_and_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MC_ENGINE", raising=False)
-        assert mc.resolve_engine(None) == "vector"
-        assert mc.resolve_engine("scalar") == "scalar"
-        monkeypatch.setenv("REPRO_MC_ENGINE", "scalar")
-        assert mc.resolve_engine(None) == "scalar"
-        with pytest.raises(ValueError):
-            mc.resolve_engine("gpu")
+    def test_batch_outputs_parity_per_trial(self, pinned):
+        trials, cases = pinned
+        name = "secded/tiny-geometry"
+        observed = observe_trial(CORPUS[name], 4, trials)
+        assert observed == cases[f"trial:{name}/k4"]
 
 
 def _encoded_and_object_regions(specs, geometry):
@@ -167,22 +180,14 @@ class TestUnionFallback:
         assert events_obj == [16]
 
     def test_fallback_surfaces_through_batched_path(self):
-        # fit=80, k=8 triggers real >14-region trials; both engines
-        # must agree on outputs and on the multiset of fallback events.
-        events = {}
-        outputs = {}
-        for engine in ("vector", "scalar"):
-            events[engine] = []
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                outputs[engine] = mc.batch_outputs(
-                    CONFIG, 8, 0, 4_000, engine=engine,
-                    on_approximation=events[engine].append,
-                )
-        assert sorted(events["vector"]) == sorted(events["scalar"])
-        assert len(events["vector"]) > 0
-        for a, b in zip(outputs["vector"], outputs["scalar"]):
-            assert np.array_equal(a, b)
+        # fit=80, k=8 triggers real >14-region trials.
+        events = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mc.batch_outputs(CONFIG, 8, 0, 1500,
+                             on_approximation=events.append)
+        assert events
+        assert all(count > mc.UNION_EXACT_LIMIT for count in events)
 
     def test_fallback_recorded_in_result(self):
         with warnings.catch_warnings():
@@ -193,7 +198,7 @@ class TestUnionFallback:
     def test_fallback_warns_once_per_rank_per_batch(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            mc.batch_outputs(CONFIG, 8, 0, 4_000, engine="vector")
+            mc.batch_outputs(CONFIG, 8, 0, 4_000)
         fallback = [
             w for w in caught
             if "overlapping DUE regions" in str(w.message)
@@ -216,11 +221,13 @@ class TestImportanceSampling:
     def test_weights_are_exact_likelihood_ratios(self):
         q = mc.importance_distribution(CONFIG.relative_rates, tilt=0.6)
         batch = mc.sample_batch(CONFIG, 2, 0, 200, q=q)
+        classes = batch.classes
         for i in range(200):
-            faults = mc.decode_trial(batch, i, CONFIG.geometry)
-            _, weight = mc.sample_trial_faults(CONFIG, 2, i, q=q)
-            assert batch.weight[i] == weight
-            assert len(faults) == 2
+            expected = 1.0
+            for j in range(2):
+                name = classes[batch.class_index[i, j]]
+                expected *= CONFIG.relative_rates[name] / q[name]
+            assert batch.weight[i] == expected
 
     def test_importance_preserves_due_support(self):
         # Weighted due indicator must stay a probability estimate.
@@ -243,3 +250,30 @@ class TestSchemeCoefficients:
             "baseline", mc.DEFAULT_DATA_BYTES
         )
         assert [d for d, _ in coefs] == [1]
+
+
+class TestCampaignRuntime:
+    """The campaign's ``runtime`` block reports the sweep instruments."""
+
+    KWARGS = dict(max_waves=1, batch_trials=100, schemes=())
+
+    def test_store_counters_reach_the_report(self, tmp_path):
+        result = run_mc_campaign(CONFIG, store=str(tmp_path / "store"),
+                                 **self.KWARGS)
+        cells = len(result.by_fault_count)
+        assert result.runtime["runtime.store.misses"] == cells
+        assert result.runtime["runtime.store.writes"] == cells
+        warm = run_mc_campaign(CONFIG, store=str(tmp_path / "store"),
+                               **self.KWARGS)
+        assert warm.runtime["runtime.store.hits"] == cells
+        assert warm.p_block_due == result.p_block_due
+
+    def test_caller_registry_is_populated(self):
+        registry = MetricRegistry()
+        assert len(registry) == 0  # empty, hence falsy
+        result = run_mc_campaign(CONFIG, registry=registry, **self.KWARGS)
+        snapshot = registry.snapshot()
+        assert snapshot["runtime.cells_completed"] == len(
+            result.by_fault_count
+        )
+        assert result.runtime == snapshot

@@ -32,9 +32,8 @@ class TestClosedFormPoisson:
         config = FaultSimConfig(
             fit_per_device=40, trials=1_000, seed=11, repair="none"
         )
-        simulator = FaultSimulator(config)
-        result = simulator.run(trials_per_k=200)
-        mean = simulator.lifetime_fault_mean()
+        result = FaultSimulator(config).run(trials_per_k=200)
+        mean = config.expected_faults_per_dimm()
         assert result.due_probability == pytest.approx(
             1.0 - math.exp(-mean), abs=1e-12
         )

@@ -195,7 +195,10 @@ class TestBench:
         return run_bench(refs=500, jobs=2, seed=2021)
 
     def test_grid_is_pinned(self, payload):
-        assert payload["schema"] == "bench_perf/v4"
+        assert payload["schema"] == "bench_perf/v5"
+        assert set(payload["mc"]) == {"fit_per_device", "trials_per_k",
+                                      "wall_s", "trials", "trials_per_s",
+                                      "p_block_due"}
         assert payload["telemetry_schema"] == "telemetry/v1"
         assert len(payload["cells"]) == 15  # 5 workloads x 3 schemes
         workloads = {c["workload"] for c in payload["cells"]}

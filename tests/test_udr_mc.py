@@ -88,6 +88,22 @@ class TestMonteCarloUdr:
         assert mc_src.udr <= mc_baseline.udr
 
 
+class TestPinnedValue:
+    def test_small_budget_campaign_is_pinned(self, high_fit_sim):
+        """A seconds-sized campaign reproduces its recorded value
+        exactly (same rng stream, pmf and ECC model)."""
+        result = monte_carlo_udr(high_fit_sim, due_events_per_k=6,
+                                 max_attempts_per_k=600, rng_seed=11)
+        assert result.udr == 0.0001766516559221488
+        assert result.l_error_fraction == 3.4621125134887416e-06
+        assert result.udr_half_width == 0.0003718067543625347
+        assert (result.trials_with_due, result.truncated) == (42, 1)
+        assert result.by_region == {
+            "mac": 4726164, "data": 11422235, "counter": 457628,
+            "counter_mac": 57204, "tree": 65377, "shadow": 8192,
+        }
+
+
 class TestMonteCarloCi:
     def test_half_width_present_and_sane(self, mc_baseline):
         assert mc_baseline.udr_half_width >= 0.0
