@@ -94,13 +94,12 @@ class MetadataCacheStats:
 
 
 class _Slot:
-    __slots__ = ("address", "payload", "dirty", "stamp", "way")
+    __slots__ = ("address", "payload", "dirty", "way")
 
     def __init__(self, way: int = 0):
         self.address = None
         self.payload = None
         self.dirty = False
-        self.stamp = 0
         self.way = way
 
 
@@ -111,7 +110,9 @@ class MetadataCache:
     ``get``/``fill`` path is O(1) instead of an O(ways) tag scan, while
     the slot objects themselves stay fixed: a block's (set, way) — and
     hence its ``slot_id`` for the shadow table — is identical to the
-    linear-scan implementation on any access sequence.
+    linear-scan implementation on any access sequence.  Each set's map
+    is kept in recency order (a touch moves the entry to the end), so
+    the LRU victim is simply its first key.
     """
 
     def __init__(
@@ -129,9 +130,9 @@ class MetadataCache:
         self._sets = [
             [_Slot(way) for way in range(ways)] for _ in range(self.num_sets)
         ]
-        # Per-set tag index: address -> occupied _Slot.
+        # Per-set tag index: address -> occupied _Slot, least recently
+        # used first.
         self._index = [{} for _ in range(self.num_sets)]
-        self._clock = 0
         self.stats = MetadataCacheStats(registry=registry)
         # Hot-loop hoists: direct instrument references keep get/fill at
         # plain-attribute-store cost.
@@ -167,15 +168,13 @@ class MetadataCache:
         Hit/miss statistics are recorded here: every metadata lookup
         goes through ``get`` before the controller decides to fill.
         """
-        self._clock += 1
-        slot = self._index[(address // self.line_size) % self.num_sets].get(
-            address
-        )
+        index = self._index[(address // self.line_size) % self.num_sets]
+        slot = index.pop(address, None)
         if slot is None:
             self._st_misses.n += 1
             return None
+        index[address] = slot
         self._st_hits.n += 1
-        slot.stamp = self._clock
         return slot.payload
 
     def peek(self, address: int):
@@ -195,25 +194,21 @@ class MetadataCache:
         """
         if address % self.line_size != 0:
             raise ValueError(f"address {address:#x} not line-aligned")
-        self._clock += 1
-        set_idx, way, slot = self._find(address)
+        set_idx = (address // self.line_size) % self.num_sets
+        index = self._index[set_idx]
+        slot = index.pop(address, None)
         if slot is not None:
+            index[address] = slot
             slot.payload = payload
             slot.dirty = slot.dirty or dirty
-            slot.stamp = self._clock
             return None
 
-        slots = self._sets[set_idx]
-        victim = None
-        for s in slots:
-            if s.address is None:
-                victim = s
-                break
         eviction = None
-        if victim is None:
-            # min() keeps the first (lowest-way) slot among stamp ties,
-            # matching the linear-scan implementation exactly.
-            victim = min(slots, key=lambda s: s.stamp)
+        if len(index) < self.ways:
+            # The lowest free way, as the linear-scan cache picks it.
+            victim = next(s for s in self._sets[set_idx] if s.address is None)
+        else:
+            victim = index.pop(next(iter(index)))
             self._st_evictions.n += 1
             if victim.dirty:
                 self._st_dirty_evictions.n += 1
@@ -224,12 +219,10 @@ class MetadataCache:
                 set_index=set_idx,
                 way=victim.way,
             )
-            del self._index[set_idx][victim.address]
         victim.address = address
         victim.payload = payload
         victim.dirty = dirty
-        victim.stamp = self._clock
-        self._index[set_idx][address] = victim
+        index[address] = victim
         return eviction
 
     def mark_dirty(self, address: int) -> None:
@@ -265,7 +258,6 @@ class MetadataCache:
         slot.address = None
         slot.payload = None
         slot.dirty = False
-        slot.stamp = 0
         return record
 
     def flush_all(self):
@@ -287,7 +279,6 @@ class MetadataCache:
                 slot.address = None
                 slot.payload = None
                 slot.dirty = False
-                slot.stamp = 0
             self._index[set_idx].clear()
         return records
 

@@ -31,8 +31,8 @@ from repro.controller.policy import CloningPolicy
 from repro.controller.quarantine import QuarantineRegistry
 from repro.controller.shadow import (
     KIND_COUNTER,
-    KIND_EMPTY,
     KIND_NODE,
+    TOMBSTONE,
     AnubisShadowCodec,
     ShadowManager,
     ShadowRecord,
@@ -430,13 +430,13 @@ class SecureMemoryController:
             for address, payload, dirty in self._mcache.resident():
                 if not dirty or not self._mcache.is_dirty(address):
                     continue
-                region = self.amap.region_of(address)
-                if region[0] == "counter" and level == 1:
-                    self._persist_counter_entry(region[1], payload, cost)
-                elif region[0] == "tree" and region[1] == level:
-                    self._persist_node(level, region[2], payload.node, cost)
-                else:
+                block_level, index = self._node_of(address, payload)
+                if block_level != level:
                     continue
+                if level == 1:
+                    self._persist_counter_entry(index, payload, cost)
+                else:
+                    self._persist_node(level, index, payload.node, cost)
                 # Persisting can itself evict this line (a ToC parent
                 # bump may miss-fetch into a full set); the victim
                 # drain already persisted it, so only clean what is
@@ -645,7 +645,7 @@ class SecureMemoryController:
             return pending, True
         cost.blocking_reads += 1
         self.stats.record_read(kind)
-        return self.nvm.read_block(address), self.nvm.is_touched(address)
+        return self.nvm.read_block_touched(address)
 
     def _enqueue_write(self, address: int, data: bytes, cost: OpCost, kind: str) -> None:
         self._wpq.enqueue(address, data)
@@ -1109,9 +1109,9 @@ class SecureMemoryController:
             # The slot changes hands *now*: kill the departing block's
             # shadow entry immediately, before any later occupant (or a
             # parent bump during a deferred persist) writes a fresh
-            # entry there that a late tombstone would clobber.
-            region = self.amap.region_of(eviction.address)
-            if region[0] in ("counter", "tree"):
+            # entry there that a late tombstone would clobber.  Only
+            # counter and tree blocks have shadow entries.
+            if not isinstance(eviction.payload, MacBlockEntry):
                 self._shadow_tombstone(eviction, cost)
             self._victims[eviction.address] = eviction
         self._drain_victims(cost)
@@ -1146,30 +1146,32 @@ class SecureMemoryController:
         """
         self._fill_metadata(eviction.address, eviction.payload, eviction.dirty, cost)
         if eviction.dirty:
-            region = self.amap.region_of(eviction.address)
-            if region[0] == "counter":
-                self._shadow_note_counter(region[1], eviction.payload, cost)
-            elif region[0] == "tree":
-                self._shadow_note_node(
-                    region[1], region[2], eviction.payload.node, cost
-                )
+            level, index = self._node_of(eviction.address, eviction.payload)
+            if level == 1:
+                self._shadow_note_counter(index, eviction.payload, cost)
+            elif level > 1:
+                self._shadow_note_node(level, index, eviction.payload.node, cost)
         return eviction.payload
+
+    def _node_of(self, address: int, payload):
+        """``(level, index)`` of a cached block, read off its payload
+        type: level 1 for a counter block, the node's level for a tree
+        node, and level 0 (index ``None``) for a data-MAC block."""
+        if isinstance(payload, CounterEntry):
+            return 1, self.amap.node_index(1, address)
+        if isinstance(payload, NodeEntry):
+            return payload.level, self.amap.node_index(payload.level, address)
+        return 0, None
 
     def _process_eviction(self, eviction, cost: OpCost) -> None:
         if self.tracer.enabled:
             self.tracer.emit(
                 "metadata_eviction", address=eviction.address, dirty=eviction.dirty
             )
-        region = self.amap.region_of(eviction.address)
-        if region[0] == "mac":
-            # Data-MAC blocks are write-through, never dirty.
-            self.stats.evictions_by_level[0] += 1
-            return
-        if region[0] == "counter":
-            level, index = 1, region[1]
-        else:
-            level, index = region[1], region[2]
+        level, index = self._node_of(eviction.address, eviction.payload)
         self.stats.evictions_by_level[level] += 1
+        if level == 0:
+            return  # data-MAC blocks are write-through, never dirty
         if not eviction.dirty:
             return
         self.stats.dirty_evictions_by_level[level] += 1
@@ -1319,7 +1321,8 @@ class SecureMemoryController:
             address=address,
             kind=KIND_COUNTER,
             lsbs=(0,) * 8,
-            mac=self._shadow.record_mac(address, entry.block.to_bytes()),
+            mac=(self._shadow.record_mac(address, entry.block.to_bytes())
+                 if self.functional_crypto else ZERO_MAC),
         )
         self._write_shadow(location, record, cost)
 
@@ -1333,17 +1336,15 @@ class SecureMemoryController:
             address=address,
             kind=KIND_NODE,
             lsbs=tuple(c & mask for c in node.counters),
-            mac=self._shadow.record_mac(address, node.counters_bytes()),
+            mac=(self._shadow.record_mac(address, node.counters_bytes())
+                 if self.functional_crypto else ZERO_MAC),
         )
         self._write_shadow(location, record, cost)
 
     def _shadow_tombstone(self, eviction, cost: OpCost) -> None:
         if not self._tracks_shadow:
             return
-        record = ShadowRecord(
-            address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=ZERO_MAC
-        )
-        self._write_shadow((eviction.set_index, eviction.way), record, cost)
+        self._write_shadow((eviction.set_index, eviction.way), TOMBSTONE, cost)
 
     def _write_shadow(self, location, record: ShadowRecord, cost: OpCost) -> None:
         slot_id = self._mcache.slot_id(*location)

@@ -52,6 +52,10 @@ class ShadowRecord:
         return self.kind == KIND_EMPTY
 
 
+#: The empty entry written over the slot of an evicted block.
+TOMBSTONE = ShadowRecord(address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=b"\x00" * MAC_BYTES)
+
+
 class AnubisShadowCodec:
     """Single-copy entry: addr(8) | 8 x 48-bit LSBs (48) | MAC(8)."""
 
@@ -100,7 +104,7 @@ def _unpack_subentry(raw: bytes, lsb_bits: int, lsb_bytes: int) -> ShadowRecord:
     mac_offset = 8 + 8 * lsb_bytes
     mac = raw[mac_offset:mac_offset + MAC_BYTES]
     if kind not in (KIND_COUNTER, KIND_NODE):
-        return ShadowRecord(address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=b"\x00" * 8)
+        return TOMBSTONE
     return ShadowRecord(address=address, kind=kind, lsbs=lsbs, mac=mac)
 
 
@@ -134,6 +138,8 @@ class ShadowManager:
         self.functional = functional
         self.tree = BonsaiMerkleTree(amap.shadow_entries, mac_engine)
         self.writes = 0
+        # Every eviction writes the same tombstone: encode it once.
+        self._tombstone_raw = codec.encode(TOMBSTONE)
 
     # ---- MAC helpers ----
 
@@ -150,7 +156,8 @@ class ShadowManager:
     def write_entry(self, slot_id: int, record: ShadowRecord, wpq) -> None:
         """Persist a shadow entry for cache slot ``slot_id`` via the WPQ
         and (in functional mode) eagerly update the shadow BMT."""
-        raw = self.codec.encode(record)
+        raw = (self._tombstone_raw if record is TOMBSTONE
+               else self.codec.encode(record))
         wpq.enqueue(self._amap.shadow_entry_addr(slot_id), raw)
         self.writes += 1
         if self.functional:

@@ -24,6 +24,10 @@ _MINOR_MAX = (1 << MINOR_COUNTER_BITS) - 1
 _MAJOR_MAX = (1 << MAJOR_COUNTER_BITS) - 1
 
 
+def _slot_error(slot: int) -> IndexError:
+    return IndexError(f"slot {slot} out of range [0, {SPLIT_COUNTER_ARITY})")
+
+
 @dataclass(frozen=True)
 class OverflowEvent:
     """Raised counter state change that forces a page re-encryption.
@@ -44,16 +48,17 @@ class SplitCounterBlock:
     ARITY = SPLIT_COUNTER_ARITY
 
     def __init__(self, major: int = 0, minors=None):
-        if minors is None:
-            minors = [0] * self.ARITY
-        minors = list(minors)
+        fresh = minors is None
+        minors = [0] * self.ARITY if fresh else list(minors)
         if len(minors) != self.ARITY:
             raise ValueError(f"expected {self.ARITY} minor counters")
         if not 0 <= major <= _MAJOR_MAX:
             raise ValueError("major counter out of range")
-        for m in minors:
-            if not 0 <= m <= _MINOR_MAX:
-                raise ValueError("minor counter out of range")
+        if not fresh:
+            # A fresh block's zero minors need no range check.
+            for m in minors:
+                if not 0 <= m <= _MINOR_MAX:
+                    raise ValueError("minor counter out of range")
         self.major = major
         self.minors = minors
 
@@ -63,7 +68,8 @@ class SplitCounterBlock:
         Combines major and minor so that every (major, minor) pair maps
         to a distinct integer, which the PRF consumes directly.
         """
-        self._check_slot(slot)
+        if not 0 <= slot < SPLIT_COUNTER_ARITY:
+            raise _slot_error(slot)
         return (self.major << MINOR_COUNTER_BITS) | self.minors[slot]
 
     def increment(self, slot: int):
@@ -72,7 +78,8 @@ class SplitCounterBlock:
         Returns an :class:`OverflowEvent` when the minor counter wraps
         (major incremented, all minors reset), otherwise ``None``.
         """
-        self._check_slot(slot)
+        if not 0 <= slot < SPLIT_COUNTER_ARITY:
+            raise _slot_error(slot)
         if self.minors[slot] < _MINOR_MAX:
             self.minors[slot] += 1
             return None
@@ -100,12 +107,15 @@ class SplitCounterBlock:
         if len(raw) != CACHELINE_BYTES:
             raise ValueError(f"expected {CACHELINE_BYTES} bytes, got {len(raw)}")
         packed = int.from_bytes(raw[:56], "little")
-        minors = [
+        # Every field is masked to its width, so nothing needs the
+        # constructor's range checks.
+        block = cls.__new__(cls)
+        block.minors = [
             (packed >> (i * MINOR_COUNTER_BITS)) & _MINOR_MAX
             for i in range(cls.ARITY)
         ]
-        major = int.from_bytes(raw[56:], "little")
-        return cls(major=major, minors=minors)
+        block.major = int.from_bytes(raw[56:], "little")
+        return block
 
     def copy(self) -> "SplitCounterBlock":
         return SplitCounterBlock(major=self.major, minors=list(self.minors))
@@ -118,7 +128,3 @@ class SplitCounterBlock:
     def __repr__(self) -> str:
         hot = sum(1 for m in self.minors if m)
         return f"SplitCounterBlock(major={self.major}, hot_minors={hot})"
-
-    def _check_slot(self, slot: int) -> None:
-        if not 0 <= slot < self.ARITY:
-            raise IndexError(f"slot {slot} out of range [0, {self.ARITY})")

@@ -17,20 +17,27 @@ _COUNTER_BITS = 56
 _COUNTER_MAX = (1 << _COUNTER_BITS) - 1
 
 
+def _child_error(child_index: int) -> IndexError:
+    return IndexError(
+        f"child {child_index} out of range [0, {TOC_COUNTERS_PER_NODE})"
+    )
+
+
 class TocNode:
     """An 8-counter ToC node with an embedded 64-bit MAC."""
 
     ARITY = TOC_COUNTERS_PER_NODE
 
     def __init__(self, counters=None, mac: bytes = b"\x00" * MAC_BYTES):
-        if counters is None:
-            counters = [0] * self.ARITY
-        counters = list(counters)
+        fresh = counters is None
+        counters = [0] * self.ARITY if fresh else list(counters)
         if len(counters) != self.ARITY:
             raise ValueError(f"expected {self.ARITY} counters")
-        for c in counters:
-            if not 0 <= c <= _COUNTER_MAX:
-                raise ValueError("counter out of range")
+        if not fresh:
+            # A fresh node's zero counters need no range check.
+            for c in counters:
+                if not 0 <= c <= _COUNTER_MAX:
+                    raise ValueError("counter out of range")
         if len(mac) != MAC_BYTES:
             raise ValueError(f"MAC must be {MAC_BYTES} bytes")
         self.counters = counters
@@ -38,14 +45,16 @@ class TocNode:
 
     def increment(self, child_index: int) -> int:
         """Bump the counter for ``child_index``; returns the new value."""
-        self._check_child(child_index)
+        if not 0 <= child_index < TOC_COUNTERS_PER_NODE:
+            raise _child_error(child_index)
         if self.counters[child_index] == _COUNTER_MAX:
             raise OverflowError("ToC node counter exhausted")
         self.counters[child_index] += 1
         return self.counters[child_index]
 
     def counter(self, child_index: int) -> int:
-        self._check_child(child_index)
+        if not 0 <= child_index < TOC_COUNTERS_PER_NODE:
+            raise _child_error(child_index)
         return self.counters[child_index]
 
     def counters_bytes(self) -> bytes:
@@ -64,11 +73,15 @@ class TocNode:
         if len(raw) != CACHELINE_BYTES:
             raise ValueError(f"expected {CACHELINE_BYTES} bytes, got {len(raw)}")
         packed = int.from_bytes(raw[:56], "little")
-        counters = [
+        # Every counter is masked to its width and the MAC is the
+        # block's last 8 bytes, so nothing needs the constructor's checks.
+        node = cls.__new__(cls)
+        node.counters = [
             (packed >> (i * _COUNTER_BITS)) & _COUNTER_MAX
             for i in range(cls.ARITY)
         ]
-        return cls(counters=counters, mac=raw[56:])
+        node.mac = bytes(raw[56:])
+        return node
 
     def copy(self) -> "TocNode":
         return TocNode(counters=list(self.counters), mac=self.mac)
@@ -80,9 +93,3 @@ class TocNode:
 
     def __repr__(self) -> str:
         return f"TocNode(counters={self.counters}, mac={self.mac.hex()})"
-
-    def _check_child(self, child_index: int) -> None:
-        if not 0 <= child_index < self.ARITY:
-            raise IndexError(
-                f"child {child_index} out of range [0, {self.ARITY})"
-            )

@@ -35,6 +35,14 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _index_error(index: int, limit: int, what: str) -> IndexError:
+    return IndexError(f"{what} index {index} out of range [0, {limit})")
+
+
+def _level_error(level: int, num_levels: int) -> ValueError:
+    return ValueError(f"level {level} out of range [1, {num_levels}]")
+
+
 def tree_level_sizes(num_data_blocks: int) -> list:
     """Node counts per level for a ToC over ``num_data_blocks`` blocks.
 
@@ -135,35 +143,42 @@ class AddressMap:
     # ---- per-region address calculators ----
 
     def data_addr(self, block_index: int) -> int:
-        self._check_index(block_index, self.num_data_blocks, "data block")
+        if not 0 <= block_index < self.num_data_blocks:
+            raise _index_error(block_index, self.num_data_blocks, "data block")
         return block_index * self.block_size
 
     def mac_addr(self, data_block_index: int) -> int:
         """Address of the MAC *block* holding this data block's MAC."""
-        self._check_index(data_block_index, self.num_data_blocks, "data block")
+        if not 0 <= data_block_index < self.num_data_blocks:
+            raise _index_error(data_block_index, self.num_data_blocks, "data block")
         return self.mac_offset + (data_block_index // 8) * self.block_size
 
     def mac_slot(self, data_block_index: int) -> int:
         """Slot (0-7) of this data block's MAC within its MAC block."""
-        self._check_index(data_block_index, self.num_data_blocks, "data block")
+        if not 0 <= data_block_index < self.num_data_blocks:
+            raise _index_error(data_block_index, self.num_data_blocks, "data block")
         return data_block_index % 8
 
     def counter_mac_addr(self, counter_index: int) -> int:
         """Address of the sidecar block holding this counter block's MAC."""
-        self._check_index(counter_index, self.level_sizes[0], "counter block")
+        if not 0 <= counter_index < self.level_sizes[0]:
+            raise _index_error(counter_index, self.level_sizes[0], "counter block")
         return self.counter_mac_offset + (counter_index // 8) * self.block_size
 
     def counter_mac_slot(self, counter_index: int) -> int:
         """Slot (0-7) of this counter block's MAC in its sidecar block."""
-        self._check_index(counter_index, self.level_sizes[0], "counter block")
+        if not 0 <= counter_index < self.level_sizes[0]:
+            raise _index_error(counter_index, self.level_sizes[0], "counter block")
         return counter_index % 8
 
     def counter_index_of_data(self, data_block_index: int) -> int:
-        self._check_index(data_block_index, self.num_data_blocks, "data block")
+        if not 0 <= data_block_index < self.num_data_blocks:
+            raise _index_error(data_block_index, self.num_data_blocks, "data block")
         return data_block_index // SPLIT_COUNTER_ARITY
 
     def counter_slot_of_data(self, data_block_index: int) -> int:
-        self._check_index(data_block_index, self.num_data_blocks, "data block")
+        if not 0 <= data_block_index < self.num_data_blocks:
+            raise _index_error(data_block_index, self.num_data_blocks, "data block")
         return data_block_index % SPLIT_COUNTER_ARITY
 
     def node_addr(self, level: int, index: int) -> int:
@@ -171,21 +186,39 @@ class AddressMap:
 
         Level 1 is the counter level; levels 2+ are tree nodes.
         """
-        self._check_level(level)
-        self._check_index(index, self.level_sizes[level - 1], f"level-{level} node")
+        if not 1 <= level <= self.num_levels:
+            raise _level_error(level, self.num_levels)
+        if not 0 <= index < self.level_sizes[level - 1]:
+            raise _index_error(index, self.level_sizes[level - 1], f"level-{level} node")
         if level == 1:
             return self.counter_offset + index * self.block_size
         return self.tree_offsets[level] + index * self.block_size
 
+    def node_index(self, level: int, address: int) -> int:
+        """Index of the level-``level`` node whose original copy is at
+        ``address``: the inverse of :meth:`node_addr`."""
+        if level == 1:
+            offset = self.counter_offset
+        elif 1 < level <= self.num_levels:
+            offset = self.tree_offsets[level]
+        else:
+            raise _level_error(level, self.num_levels)
+        index, rem = divmod(address - offset, self.block_size)
+        if rem or not 0 <= index < self.level_sizes[level - 1]:
+            raise ValueError(f"address {address:#x} is not a level-{level} node")
+        return index
+
     def clone_addr(self, level: int, index: int, copy: int) -> int:
         """Address of clone ``copy`` (1-based) of a metadata node."""
-        self._check_level(level)
+        if not 1 <= level <= self.num_levels:
+            raise _level_error(level, self.num_levels)
         depth = self.clone_depths.get(level, 1)
         if not 1 <= copy < depth:
             raise ValueError(
                 f"copy {copy} invalid for level {level} with depth {depth}"
             )
-        self._check_index(index, self.level_sizes[level - 1], f"level-{level} node")
+        if not 0 <= index < self.level_sizes[level - 1]:
+            raise _index_error(index, self.level_sizes[level - 1], f"level-{level} node")
         per_copy = self.level_sizes[level - 1] * self.block_size
         return self.clone_offsets[level] + (copy - 1) * per_copy + index * self.block_size
 
@@ -202,9 +235,8 @@ class AddressMap:
             raise ValueError(
                 f"copy {copy} invalid for sidecar depth {self.counter_mac_depth}"
             )
-        self._check_index(
-            sidecar_index, self.num_counter_mac_blocks, "sidecar block"
-        )
+        if not 0 <= sidecar_index < self.num_counter_mac_blocks:
+            raise _index_error(sidecar_index, self.num_counter_mac_blocks, "sidecar block")
         per_copy = self.num_counter_mac_blocks * self.block_size
         return (
             self.counter_mac_clone_offset
@@ -223,32 +255,39 @@ class AddressMap:
         ]
 
     def shadow_entry_addr(self, entry_index: int) -> int:
-        self._check_index(entry_index, self.shadow_entries, "shadow entry")
+        if not 0 <= entry_index < self.shadow_entries:
+            raise _index_error(entry_index, self.shadow_entries, "shadow entry")
         return self.shadow_offset + entry_index * self.block_size
 
     def shadow_tree_addr(self, node_index: int) -> int:
-        self._check_index(node_index, self.num_shadow_tree_nodes, "shadow tree node")
+        if not 0 <= node_index < self.num_shadow_tree_nodes:
+            raise _index_error(node_index, self.num_shadow_tree_nodes, "shadow tree node")
         return self.shadow_tree_offset + node_index * self.block_size
 
     # ---- tree arithmetic ----
 
     def parent_of(self, level: int, index: int):
         """(level, index) of the parent node, or ``None`` for top level."""
-        self._check_level(level)
-        self._check_index(index, self.level_sizes[level - 1], f"level-{level} node")
+        if not 1 <= level <= self.num_levels:
+            raise _level_error(level, self.num_levels)
+        if not 0 <= index < self.level_sizes[level - 1]:
+            raise _index_error(index, self.level_sizes[level - 1], f"level-{level} node")
         if level == self.num_levels:
             return None
         return level + 1, index // TOC_ARITY
 
     def child_slot(self, level: int, index: int) -> int:
         """Which counter slot of the parent covers this node."""
-        self._check_level(level)
+        if not 1 <= level <= self.num_levels:
+            raise _level_error(level, self.num_levels)
         return index % TOC_ARITY
 
     def data_blocks_covered(self, level: int, index: int) -> range:
         """Range of data-block indices protected by a metadata node."""
-        self._check_level(level)
-        self._check_index(index, self.level_sizes[level - 1], f"level-{level} node")
+        if not 1 <= level <= self.num_levels:
+            raise _level_error(level, self.num_levels)
+        if not 0 <= index < self.level_sizes[level - 1]:
+            raise _index_error(index, self.level_sizes[level - 1], f"level-{level} node")
         span = SPLIT_COUNTER_ARITY * TOC_ARITY ** (level - 1)
         start = index * span
         stop = min(start + span, self.num_data_blocks)
@@ -296,14 +335,3 @@ class AddressMap:
             "shadow_tree",
             (address - self.shadow_tree_offset) // self.block_size,
         )
-
-    # ---- helpers ----
-
-    def _check_level(self, level: int) -> None:
-        if not 1 <= level <= self.num_levels:
-            raise ValueError(f"level {level} out of range [1, {self.num_levels}]")
-
-    @staticmethod
-    def _check_index(index: int, limit: int, what: str) -> None:
-        if not 0 <= index < limit:
-            raise IndexError(f"{what} index {index} out of range [0, {limit})")

@@ -76,9 +76,24 @@ class NvmDevice:
 
     def read_block(self, address: int) -> bytes:
         """Read the 64-byte block at ``address`` (block-aligned)."""
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         self._reads.n += 1
         return self._blocks.get(address, ZERO_BLOCK)
+
+    def read_block_touched(self, address: int):
+        """One read of ``address``: ``(bytes, touched)``.
+
+        ``touched`` is :meth:`is_touched` for the same block; the pair
+        costs one ``nvm.reads`` count, like :meth:`read_block`.
+        """
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
+        self._reads.n += 1
+        data = self._blocks.get(address)
+        if data is None:
+            return ZERO_BLOCK, False
+        return data, True
 
     def peek_block(self, address: int):
         """Observe a block without perturbing the device counters.
@@ -88,13 +103,15 @@ class NvmDevice:
         run have to produce bit-identical telemetry.  Returns ``None``
         for untouched (factory-fresh) blocks.
         """
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         return self._blocks.get(address)
 
     def write_block(self, address: int, data: bytes) -> None:
         """Persist one block.  Writing clears any poison at the address
         (a fresh write re-programs the cells)."""
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         if len(data) != self.block_size:
             raise ValueError(
                 f"data must be {self.block_size} bytes, got {len(data)}"
@@ -108,7 +125,8 @@ class NvmDevice:
 
     def flip_bits(self, address: int, bit_positions) -> None:
         """Flip the given bit positions inside the block at ``address``."""
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         block = bytearray(self._blocks.get(address, ZERO_BLOCK))
         for bit in bit_positions:
             if not 0 <= bit < self.block_size * 8:
@@ -123,15 +141,18 @@ class NvmDevice:
         :meth:`is_poisoned` lets the ECC model report the uncorrectable
         condition, mirroring hardware poisoning semantics.
         """
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         self._poisoned.add(address)
 
     def is_poisoned(self, address: int) -> bool:
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         return address in self._poisoned
 
     def clear_poison(self, address: int) -> None:
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         self._poisoned.discard(address)
 
     @property
@@ -145,7 +166,8 @@ class NvmDevice:
         re-arms the untouched-is-implicitly-valid convention under the
         new keys (cf. Silent Shredder's zero-cost shredding).
         """
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         self._blocks.pop(address, None)
         self._poisoned.discard(address)
 
@@ -155,7 +177,8 @@ class NvmDevice:
         Untouched blocks are in the factory-fresh all-zeros state, which
         the secure controller treats as implicitly valid (cold memory).
         """
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         return address in self._blocks
 
     def touched_addresses(self):
@@ -166,7 +189,8 @@ class NvmDevice:
 
     def write_count_of(self, address: int) -> int:
         """Writes ever issued to the block at ``address``."""
-        self._check_address(address)
+        if address % self.block_size or not 0 <= address < self.capacity_bytes:
+            raise self._address_error(address)
         return self._write_counts.get(address, 0)
 
     def wear_stats(self) -> dict:
@@ -188,10 +212,11 @@ class NvmDevice:
         self._reads.reset()
         self._writes.reset()
 
-    def _check_address(self, address: int) -> None:
+    def _address_error(self, address: int) -> ValueError:
+        """The error for an address that failed the inline bounds check
+        every block method opens with (alignment is reported first)."""
         if address % self.block_size != 0:
-            raise ValueError(f"address {address:#x} not block-aligned")
-        if not 0 <= address < self.capacity_bytes:
-            raise ValueError(
-                f"address {address:#x} outside capacity {self.capacity_bytes:#x}"
-            )
+            return ValueError(f"address {address:#x} not block-aligned")
+        return ValueError(
+            f"address {address:#x} outside capacity {self.capacity_bytes:#x}"
+        )

@@ -115,6 +115,9 @@ class WearLevelingNvm:
     def read_block(self, address: int) -> bytes:
         return self._nvm.read_block(self._physical(address))
 
+    def read_block_touched(self, address: int):
+        return self._nvm.read_block_touched(self._physical(address))
+
     def write_block(self, address: int, data: bytes) -> None:
         self._nvm.write_block(self._physical(address), data)
         relocation = self.remap.note_write()

@@ -33,6 +33,11 @@ class WritePendingQueue:
         self._nvm = nvm
         self.capacity = capacity
         self._queue: deque = deque()
+        # address -> its newest queued ``(address, data)`` entry.  Write
+        # forwarding reads this instead of scanning the queue; draining
+        # an entry that is still the newest for its address means no
+        # later write to that address is queued, so it leaves the index.
+        self._latest: dict = {}
         self.enqueued_count = 0
         self.drained_count = 0
 
@@ -50,9 +55,11 @@ class WritePendingQueue:
         NVM to make room — the caller never blocks, it just pays the
         drain in write traffic (already counted by the NVM device).
         """
-        while self.free_entries < 1:
+        while len(self._queue) >= self.capacity:
             self.drain_one()
-        self._queue.append((address, bytes(data)))
+        entry = (address, bytes(data))
+        self._queue.append(entry)
+        self._latest[address] = entry
         self.enqueued_count += 1
 
     def enqueue_atomic(self, entries) -> None:
@@ -73,29 +80,31 @@ class WritePendingQueue:
         while self.free_entries < len(entries):
             self.drain_one()
         for address, data in entries:
-            self._queue.append((address, bytes(data)))
+            entry = (address, bytes(data))
+            self._queue.append(entry)
+            self._latest[address] = entry
             self.enqueued_count += 1
 
     def lookup(self, address: int):
         """Latest pending data for ``address`` (write forwarding), or
         None.  Reads must see WPQ contents: accepted entries are
         logically persistent even before they drain."""
-        found = None
-        for entry_address, data in self._queue:
-            if entry_address == address:
-                found = data
-        return found
+        entry = self._latest.get(address)
+        return None if entry is None else entry[1]
 
     def pending_addresses(self):
         """Distinct addresses with entries still queued (observer use)."""
-        return {address for address, _ in self._queue}
+        return set(self._latest)
 
     def drain_one(self) -> bool:
         """Flush the oldest entry to NVM; returns False when empty."""
         if not self._queue:
             return False
-        address, data = self._queue.popleft()
-        self._nvm.write_block(address, data)
+        entry = self._queue.popleft()
+        address = entry[0]
+        if self._latest[address] is entry:
+            del self._latest[address]
+        self._nvm.write_block(address, entry[1])
         self.drained_count += 1
         return True
 

@@ -35,9 +35,8 @@ from repro.controller import (
 )
 from repro.controller.shadow import (
     KIND_COUNTER,
-    KIND_EMPTY,
     KIND_NODE,
-    ShadowRecord,
+    TOMBSTONE,
     reconstruct_counter,
 )
 from repro.counters import SplitCounterBlock, TocNode
@@ -123,10 +122,7 @@ class RecoveryManager:
         # The log is consumed: everything it described is now persisted.
         # Tombstone every scanned slot so a later crash (whose cache
         # slot assignments may differ) never replays these records.
-        tombstone = ctrl.shadow_codec.encode(
-            ShadowRecord(address=0, kind=KIND_EMPTY, lsbs=(0,) * 8,
-                         mac=b"\x00" * MAC_BYTES)
-        )
+        tombstone = ctrl.shadow_codec.encode(TOMBSTONE)
         for slot_id in canonical:
             ctrl.nvm.write_block(
                 ctrl.amap.shadow_entry_addr(slot_id), tombstone

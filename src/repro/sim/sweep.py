@@ -650,24 +650,20 @@ class SweepEngine:
             for index in remaining:
                 if drain.requested:
                     return
-                key = self._keys[index]
-                if (self._store is not None
-                        and self._restore_from_store(outcomes, started,
-                                                     index)):
+                if self._serve_finished(outcomes, started, index):
                     progressed = True
                     continue
-                record = queue.poisoned(key)
-                if record is not None:
-                    self._adopt_poisoned(outcomes, started, index, record)
-                    progressed = True
-                    continue
-                lease = queue.try_claim(key)
+                lease = queue.try_claim(self._keys[index])
                 if lease is None:
                     continue   # validly held by another live worker
                 try:
-                    with queue.heartbeat(lease):
-                        self._run_cell_serial(outcomes, journal, drain,
-                                              started, index)
+                    # A peer may have published (or poisoned) the cell
+                    # and released its lease between the lookup above
+                    # and this claim: look again before running it.
+                    if not self._serve_finished(outcomes, started, index):
+                        with queue.heartbeat(lease):
+                            self._run_cell_serial(outcomes, journal, drain,
+                                                  started, index)
                 finally:
                     queue.release(lease)
                 if outcomes[index] is not None:
@@ -677,6 +673,18 @@ class SweepEngine:
                 # for the fleet (a completed cell appears in the store;
                 # a dead worker's lease expires and gets reclaimed).
                 time.sleep(poll)
+
+    def _serve_finished(self, outcomes, started: float, index: int) -> bool:
+        """Fleet mode: take a cell's outcome from the store, or adopt
+        its poison record; ``False`` when neither has one."""
+        if (self._store is not None
+                and self._restore_from_store(outcomes, started, index)):
+            return True
+        record = self._queue.poisoned(self._keys[index])
+        if record is None:
+            return False
+        self._adopt_poisoned(outcomes, started, index, record)
+        return True
 
     # -- parallel ------------------------------------------------------
 

@@ -82,6 +82,33 @@ class TestAddressMap:
         with pytest.raises(IndexError):
             amap.node_addr(2, 32)
 
+    def test_node_index_inverts_node_addr(self, amap):
+        for level in range(1, amap.num_levels + 1):
+            for index in range(amap.level_sizes[level - 1]):
+                address = amap.node_addr(level, index)
+                assert amap.node_index(level, address) == index
+                assert amap.region_of(address)[-1] == index
+
+    @pytest.mark.parametrize("level, address, error, message", [
+        (0, 0, ValueError, "level 0 out of range [1, 3]"),
+        (4, 0, ValueError, "level 4 out of range [1, 3]"),
+        (1, 0, ValueError, "address 0x0 is not a level-1 node"),
+        (2, "counter_offset", ValueError,
+         "address {:#x} is not a level-2 node"),
+        (1, "tree2", ValueError, "address {:#x} is not a level-1 node"),
+        (1, "misaligned", ValueError, "address {:#x} is not a level-1 node"),
+    ])
+    def test_node_index_rejects_other_addresses(self, amap, level, address,
+                                                error, message):
+        address = {
+            "counter_offset": amap.counter_offset,
+            "tree2": amap.tree_offsets[2],
+            "misaligned": amap.counter_offset + 1,
+        }.get(address, address)
+        with pytest.raises(error) as info:
+            amap.node_index(level, address)
+        assert str(info.value) == message.format(address)
+
     def test_clone_addresses_distinct_from_originals(self, amap):
         original = amap.node_addr(1, 5)
         clone = amap.clone_addr(1, 5, 1)
@@ -142,6 +169,51 @@ class TestAddressMap:
         assert amap.region_of(amap.clone_addr(2, 1, 2)) == ("clone", 2, 1, 2)
         assert amap.region_of(amap.shadow_entry_addr(9)) == ("shadow", 9)
         assert amap.region_of(amap.shadow_tree_addr(0)) == ("shadow_tree", 0)
+
+    @pytest.mark.parametrize("method,args,error,message", [
+        ("data_addr", (16384,), IndexError,
+         "data block index 16384 out of range [0, 16384)"),
+        ("mac_addr", (-1,), IndexError,
+         "data block index -1 out of range [0, 16384)"),
+        ("mac_slot", (16384,), IndexError,
+         "data block index 16384 out of range [0, 16384)"),
+        ("counter_index_of_data", (-1,), IndexError,
+         "data block index -1 out of range [0, 16384)"),
+        ("counter_slot_of_data", (16384,), IndexError,
+         "data block index 16384 out of range [0, 16384)"),
+        ("counter_mac_addr", (256,), IndexError,
+         "counter block index 256 out of range [0, 256)"),
+        ("counter_mac_slot", (-1,), IndexError,
+         "counter block index -1 out of range [0, 256)"),
+        ("node_addr", (0, 0), ValueError, "level 0 out of range [1, 3]"),
+        ("node_addr", (2, 32), IndexError,
+         "level-2 node index 32 out of range [0, 32)"),
+        ("all_copies", (1, 256), IndexError,
+         "level-1 node index 256 out of range [0, 256)"),
+        ("clone_addr", (4, 0, 1), ValueError, "level 4 out of range [1, 3]"),
+        ("clone_addr", (3, 0, 1), ValueError,
+         "copy 1 invalid for level 3 with depth 1"),
+        ("clone_addr", (2, 32, 1), IndexError,
+         "level-2 node index 32 out of range [0, 32)"),
+        ("counter_mac_clone_addr", (32, 1), IndexError,
+         "sidecar block index 32 out of range [0, 32)"),
+        ("shadow_entry_addr", (64,), IndexError,
+         "shadow entry index 64 out of range [0, 64)"),
+        ("shadow_tree_addr", (8,), IndexError,
+         "shadow tree node index 8 out of range [0, 8)"),
+        ("parent_of", (4, 0), ValueError, "level 4 out of range [1, 3]"),
+        ("parent_of", (1, 256), IndexError,
+         "level-1 node index 256 out of range [0, 256)"),
+        ("child_slot", (0, 0), ValueError, "level 0 out of range [1, 3]"),
+        ("data_blocks_covered", (3, 4), IndexError,
+         "level-3 node index 4 out of range [0, 4)"),
+    ])
+    def test_bounds_errors(self, amap, method, args, error, message):
+        """Every calculator rejects out-of-range input with the same
+        exception type and message."""
+        with pytest.raises(error) as info:
+            getattr(amap, method)(*args)
+        assert str(info.value) == message
 
     def test_region_of_validates(self, amap):
         with pytest.raises(ValueError):

@@ -279,12 +279,14 @@ class TestMetadataCache:
 
 
 class _LinearScanMetadataCache:
-    """Reference implementation: the pre-dict-index linear-scan cache.
+    """Reference implementation: the pre-dict-index linear-scan cache,
+    with a global access clock, per-slot stamps, and a ``min(stamp)``
+    victim scan.
 
     Anubis' shadow table mirrors the metadata cache's (set, way) slots
-    one-to-one, so the dict-backed rewrite must assign slots, choose
-    LRU victims, and emit eviction records *identically* to this code
-    on any access sequence.
+    one-to-one, so the dict-backed, recency-ordered rewrite must assign
+    slots, choose LRU victims, and emit eviction records *identically*
+    to this code on any access sequence.
     """
 
     class _Slot:
@@ -385,6 +387,22 @@ class _LinearScanMetadataCache:
         slot.stamp = 0
         return record
 
+    def flush_all(self):
+        records = []
+        for set_idx, slots in enumerate(self._sets):
+            for way, slot in enumerate(slots):
+                if slot.address is None:
+                    continue
+                records.append(MetadataEviction(
+                    address=slot.address, payload=slot.payload,
+                    dirty=slot.dirty, set_index=set_idx, way=way,
+                ))
+                slot.address = None
+                slot.payload = None
+                slot.dirty = False
+                slot.stamp = 0
+        return records
+
     def resident(self):
         out = []
         for slots in self._sets:
@@ -398,7 +416,9 @@ class _LinearScanMetadataCache:
 class TestMetadataCacheSlotStability:
     """Property: the dict-backed cache is observationally identical to
     the linear-scan reference on randomized traces — (set, way)/slot_id
-    assignments, LRU victim choice, eviction records, and stats."""
+    assignments, LRU victim choice, eviction records, and stats — across
+    gets, fills, refills of resident blocks, invalidations and whole-
+    cache flushes."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("ways,size", [(2, 256), (4, 1024), (8, 4096)])
@@ -412,25 +432,37 @@ class TestMetadataCacheSlotStability:
         for step in range(3000):
             address = int(rng.integers(0, num_blocks)) * 64
             op = rng.random()
-            if op < 0.45:
+            if op < 0.4:
                 assert fast.get(address) == reference.get(address)
-            elif op < 0.85:
+            elif op < 0.75:
                 dirty = bool(rng.random() < 0.5)
                 got = fast.fill(address, step, dirty=dirty)
                 want = reference.fill(address, step, dirty=dirty)
                 assert got == want  # same victim slot, payload, dirty bit
                 if want is not None:
+                    assert (got.set_index, got.way) == (
+                        want.set_index, want.way)
                     resident.discard(want.address)
                 resident.add(address)
-            elif op < 0.9 and resident:
+            elif op < 0.82 and resident:
+                # Refill of a resident block: updated in place, made
+                # most recently used, nothing evicted.
+                target = sorted(resident)[int(rng.integers(0, len(resident)))]
+                dirty = bool(rng.random() < 0.5)
+                assert fast.fill(target, step, dirty=dirty) is None
+                assert reference.fill(target, step, dirty=dirty) is None
+            elif op < 0.86 and resident:
                 target = min(resident)
                 fast.mark_dirty(target)
                 reference.mark_dirty(target)
-            elif op < 0.95:
+            elif op < 0.93:
                 got = fast.invalidate(address)
                 want = reference.invalidate(address)
                 assert got == want
                 resident.discard(address)
+            elif op < 0.94:
+                assert fast.flush_all() == reference.flush_all()
+                resident.clear()
             else:
                 assert fast.location_of(address) == reference.location_of(
                     address

@@ -85,6 +85,27 @@ class TestSplitCounterBlock:
         blk = SplitCounterBlock(major=major, minors=minors)
         assert SplitCounterBlock.from_bytes(blk.to_bytes()) == blk
 
+    def test_caller_values_out_of_range_rejected(self):
+        """Only caller-supplied counters are range-checked; these edges
+        are outside what the field widths can hold."""
+        with pytest.raises(ValueError, match="major counter out of range"):
+            SplitCounterBlock(major=1 << 64)
+        with pytest.raises(ValueError, match="minor counter out of range"):
+            SplitCounterBlock(minors=[0] * 63 + [-1])
+        with pytest.raises(IndexError, match=r"slot 64 out of range \[0, 64\)"):
+            SplitCounterBlock().effective_counter(64)
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw=st.binary(min_size=CACHELINE_BYTES, max_size=CACHELINE_BYTES))
+    def test_property_from_bytes_of_any_line_is_a_valid_block(self, raw):
+        """``from_bytes`` skips the constructor's checks because every
+        field it unpacks is masked to its width: any 64-byte line gives
+        the block the checked constructor builds, and packs back to the
+        same bytes."""
+        blk = SplitCounterBlock.from_bytes(raw)
+        assert blk == SplitCounterBlock(major=blk.major, minors=blk.minors)
+        assert blk.to_bytes() == raw
+
     @settings(max_examples=30, deadline=None)
     @given(slots=st.lists(st.integers(min_value=0, max_value=63), max_size=300))
     def test_property_no_two_slots_share_effective_counter_history(self, slots):
@@ -156,3 +177,10 @@ class TestTocNode:
     def test_property_serialization_roundtrip(self, counters, mac):
         node = TocNode(counters=counters, mac=mac)
         assert TocNode.from_bytes(node.to_bytes()) == node
+
+    @settings(max_examples=50, deadline=None)
+    @given(raw=st.binary(min_size=CACHELINE_BYTES, max_size=CACHELINE_BYTES))
+    def test_property_from_bytes_of_any_line_is_a_valid_node(self, raw):
+        node = TocNode.from_bytes(raw)
+        assert node == TocNode(counters=node.counters, mac=node.mac)
+        assert node.to_bytes() == raw

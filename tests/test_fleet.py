@@ -231,6 +231,82 @@ class TestPoison:
         assert snap["runtime.lease.claims"] == 0
 
 
+class TestClaimRace:
+    """A peer can publish (or poison) a cell and release its lease in
+    the window between this worker's store lookup and its claim; the
+    ``O_EXCL`` claim then succeeds on a finished cell.  The worker must
+    notice and serve the published outcome instead of re-running it.
+    The window is opened deterministically by wrapping ``try_claim``."""
+
+    def _race_on(self, monkeypatch, victim_key, peer_action):
+        original = WorkQueue.try_claim
+        raced = []
+
+        def claim_after_peer(queue, key):
+            if key == victim_key and not raced:
+                raced.append(key)
+                peer_action(queue)
+            return original(queue, key)
+
+        monkeypatch.setattr(WorkQueue, "try_claim", claim_after_peer)
+        return raced
+
+    def test_result_published_before_claim_is_served(self, tmp_path,
+                                                     monkeypatch):
+        from repro.runtime import ResultStore
+        from repro.sim import CellOutcome
+
+        log_dir = tmp_path / "log"
+        log_dir.mkdir()
+        cells = [("tracked", value, str(log_dir)) for value in range(3)]
+        queue_dir = tmp_path / "queue"
+        victim_key = cell_key(cells[1], fleet_helpers.tracked_square)
+        peer_result = {"value": 1, "square": 1}
+
+        def peer_publishes(queue):
+            ResultStore(os.path.join(queue.directory, "store")).put(
+                victim_key,
+                CellOutcome(index=1, label="peer", ok=True,
+                            result=peer_result, attempts=1),
+            )
+
+        raced = self._race_on(monkeypatch, victim_key, peer_publishes)
+        engine = SweepEngine(cells, runner=fleet_helpers.tracked_square,
+                             queue=queue_dir)
+        outcomes = engine.run()
+        assert raced == [victim_key]
+        assert outcomes[1].reused
+        assert outcomes[1].result == peer_result
+        assert not outcomes[0].reused and not outcomes[2].reused
+        assert _execution_counts(log_dir, range(3)) == {0: 1, 1: 0, 2: 1}
+        assert engine.reused_count == 1
+        # The lease taken on the finished cell was given back.
+        assert not os.path.exists(WorkQueue(queue_dir).lease_path(victim_key))
+
+    def test_poisoned_before_claim_is_adopted(self, tmp_path, monkeypatch):
+        from repro.sim import CellOutcome
+
+        log_dir = tmp_path / "log"
+        log_dir.mkdir()
+        cells = [("failneg", value, str(log_dir)) for value in (2, -1)]
+        queue_dir = tmp_path / "queue"
+        victim_key = cell_key(cells[1], fleet_helpers.fail_negative)
+        peer_failure = CellOutcome(
+            index=1, label="peer", ok=False, error="failed on a peer",
+            attempts=2, failure_class="retryable",
+        )
+        raced = self._race_on(monkeypatch, victim_key,
+                              lambda queue: queue.poison(victim_key,
+                                                         peer_failure))
+        outcomes = SweepEngine(cells, runner=fleet_helpers.fail_negative,
+                               queue=queue_dir, retries=1).run()
+        assert raced == [victim_key]
+        assert not outcomes[1].ok
+        assert outcomes[1].error == "failed on a peer"
+        assert outcomes[1].attempts == 2
+        assert _execution_counts(log_dir, [2, -1]) == {2: 1, -1: 0}
+
+
 class TestQueueIdentity:
     def test_foreign_campaign_rejected(self, tmp_path):
         """Joining a queue that holds a different experiment is a hard

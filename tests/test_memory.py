@@ -1,6 +1,10 @@
 """Tests for the NVM device, DIMM geometry, and WPQ."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.memory import DimmGeometry, NvmDevice, WpqFullError, WritePendingQueue
 
@@ -183,3 +187,133 @@ class TestWritePendingQueue:
     def test_capacity_validation(self, nvm):
         with pytest.raises(ValueError):
             WritePendingQueue(nvm, capacity=0)
+
+
+class TestNvmReadTouched:
+    @pytest.fixture
+    def nvm(self):
+        return NvmDevice(capacity_bytes=4 * 1024)
+
+    def test_matches_read_block_and_is_touched(self, nvm):
+        nvm.write_block(64, b"\x07" * 64)
+        nvm.flip_bits(128, [3])        # a fault marks the block touched
+        for address in (0, 64, 128, 4096 - 64):
+            before = nvm.read_count
+            data, touched = nvm.read_block_touched(address)
+            assert nvm.read_count == before + 1
+            assert data == nvm.read_block(address)
+            assert touched == nvm.is_touched(address)
+
+    @pytest.mark.parametrize("address,message", [
+        (3, "address 0x3 not block-aligned"),
+        (-64, "address -0x40 outside capacity 0x1000"),
+        (4096, "address 0x1000 outside capacity 0x1000"),
+    ])
+    def test_bounds_errors_unchanged(self, nvm, address, message):
+        """Every block method rejects a bad address with the same
+        ValueError, alignment reported before range."""
+        for call in (
+            nvm.read_block, nvm.read_block_touched, nvm.peek_block,
+            nvm.poison_block, nvm.is_poisoned, nvm.clear_poison,
+            nvm.erase_block, nvm.is_touched, nvm.write_count_of,
+            lambda a: nvm.write_block(a, bytes(64)),
+            lambda a: nvm.flip_bits(a, [0]),
+        ):
+            with pytest.raises(ValueError) as info:
+                call(address)
+            assert str(info.value) == message
+        assert nvm.read_count == 0
+
+
+class _RecordingNvm:
+    """Stands in for the device: records the order of drained writes."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write_block(self, address, data):
+        self.writes.append((address, data))
+
+
+class _LinearScanWpq:
+    """Reference: the WPQ that found forwarded data by scanning the
+    whole queue, newest match wins."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.queue = deque()
+        self.writes = []
+
+    def enqueue(self, address, data):
+        while len(self.queue) >= self.capacity:
+            self.drain_one()
+        self.queue.append((address, bytes(data)))
+
+    def enqueue_atomic(self, entries):
+        while self.capacity - len(self.queue) < len(entries):
+            self.drain_one()
+        self.queue.extend((address, bytes(data)) for address, data in entries)
+
+    def lookup(self, address):
+        found = None
+        for entry_address, data in self.queue:
+            if entry_address == address:
+                found = data
+        return found
+
+    def pending_addresses(self):
+        return {address for address, _ in self.queue}
+
+    def drain_one(self):
+        if not self.queue:
+            return False
+        self.writes.append(self.queue.popleft())
+        return True
+
+
+_WPQ_ADDRESSES = [64 * i for i in range(5)]
+_write = st.tuples(st.sampled_from(_WPQ_ADDRESSES),
+                   st.integers(min_value=0, max_value=255))
+_wpq_ops = st.lists(st.one_of(
+    st.tuples(st.just("enqueue"), _write),
+    st.tuples(st.just("atomic"), st.lists(_write, min_size=1, max_size=4)),
+    st.tuples(st.just("drain_one")),
+    st.tuples(st.just("drain_all")),
+), max_size=80)
+
+
+class TestWpqForwardingIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(capacity=st.integers(min_value=4, max_value=8), ops=_wpq_ops)
+    def test_property_matches_linear_scan(self, capacity, ops):
+        """The address index forwards exactly what a queue scan finds,
+        and drains to NVM in the same FIFO order."""
+        nvm = _RecordingNvm()
+        wpq = WritePendingQueue(nvm, capacity=capacity)
+        reference = _LinearScanWpq(capacity)
+        for op in ops:
+            if op[0] == "enqueue":
+                address, byte = op[1]
+                wpq.enqueue(address, bytes([byte]) * 64)
+                reference.enqueue(address, bytes([byte]) * 64)
+            elif op[0] == "atomic":
+                group = [(a, bytes([b]) * 64) for a, b in op[1]]
+                wpq.enqueue_atomic(group)
+                reference.enqueue_atomic(group)
+            elif op[0] == "drain_one":
+                assert wpq.drain_one() == reference.drain_one()
+            else:
+                wpq.drain_all()
+                while reference.drain_one():
+                    pass
+            for address in _WPQ_ADDRESSES:
+                assert wpq.lookup(address) == reference.lookup(address)
+            assert wpq.pending_addresses() == reference.pending_addresses()
+            assert len(wpq) == len(reference.queue)
+            assert nvm.writes == reference.writes
+        wpq.power_loss_flush()
+        while reference.drain_one():
+            pass
+        assert nvm.writes == reference.writes
+        assert all(wpq.lookup(address) is None for address in _WPQ_ADDRESSES)
+        assert wpq.pending_addresses() == set()

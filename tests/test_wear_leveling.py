@@ -155,6 +155,27 @@ class TestWearLevelingNvm:
         touched = wl.touched_addresses()
         assert 128 in touched and 256 in touched
 
+    def test_read_block_touched_parity_with_backing(self):
+        """The combined read returns the backing device's bytes and
+        touched flag for the remapped line, and counts one read."""
+        wl = self._make(psi=3)
+        rng = np.random.default_rng(2)
+        for _ in range(60):
+            addr = int(rng.integers(0, wl.num_blocks // 2)) * 64
+            wl.write_block(addr, bytes(int(x) for x in rng.integers(0, 256, 64)))
+        assert wl.remap.gap_moves > 0
+        backing = wl.backing
+        for logical in range(wl.num_blocks):
+            addr = logical * 64
+            physical = wl.remap.physical_of(logical) * 64
+            before = backing.read_count
+            data, touched = wl.read_block_touched(addr)
+            assert backing.read_count == wl.read_count == before + 1
+            assert data == backing.read_block(physical) == wl.read_block(addr)
+            assert touched == backing.is_touched(physical) == wl.is_touched(addr)
+        with pytest.raises(ValueError):
+            wl.read_block_touched(wl.capacity_bytes)
+
     def test_bounds(self):
         wl = self._make()
         with pytest.raises(ValueError):
