@@ -72,11 +72,13 @@ EXIT_INTERRUPTED = 3
 def _add_runtime_args(p) -> None:
     """The preemption-tolerance flags shared by the sweep commands."""
     p.add_argument("--checkpoint", metavar="DIR", default=None,
-                   help="journal completed cells to DIR (checkpoint/v1) "
-                        "so the sweep can be resumed after a kill")
+                   help="make the sweep resumable after a kill: store "
+                        "completed cells (store/v1, in --store/--queue's "
+                        "store if given, else in DIR) under a "
+                        "DIR/checkpoint.json manifest (checkpoint/v2)")
     p.add_argument("--resume", metavar="DIR", default=None,
-                   help="resume from DIR: skip journaled cells, keep "
-                        "journaling new ones (merged results are "
+                   help="resume from DIR: serve the stored cells, "
+                        "checkpoint new ones (merged results are "
                         "bit-identical to an uninterrupted run)")
     p.add_argument("--cell-timeout", type=float, default=None,
                    metavar="SECS",
@@ -107,7 +109,7 @@ def _runtime_kwargs(args) -> dict:
         if checkpoint and checkpoint != args.resume:
             raise SystemExit(
                 "--checkpoint and --resume point at different directories; "
-                "--resume already implies journaling into its directory"
+                "--resume already implies checkpointing into its directory"
             )
         checkpoint = args.resume
         resume = True
@@ -358,8 +360,9 @@ def _reliability_empirical(args) -> int:
         )
         print(f"wrote {args.out}")
     if interrupted:
-        print("INTERRUPTED: completed batches are journaled"
-              + (f"; resume with --resume {args.resume or args.checkpoint}"
+        print("INTERRUPTED: campaign drained"
+              + (f"; completed batches are checkpointed, resume with "
+                 f"--resume {args.resume or args.checkpoint}"
                  if (args.resume or args.checkpoint) else ""))
         return EXIT_INTERRUPTED
     return 0
@@ -1064,7 +1067,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quiet", action="store_true",
                    help="suppress per-cell progress lines")
     p.add_argument("--checkpoint", metavar="DIR", default=None,
-                   help="journal both legs' cells under DIR so the "
+                   help="checkpoint both legs' cells under DIR so the "
                         "measured overhead includes checkpointing")
     p.add_argument("--store", metavar="DIR", default=None,
                    help="directory for the cold-store leg (default: a "

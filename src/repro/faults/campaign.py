@@ -357,13 +357,14 @@ def run_campaign(config: CampaignConfig = None, jobs: int = 1,
     are aggregated in deterministic sweep order either way.
 
     The resilience knobs thread straight into the engine:
-    ``checkpoint`` journals completed runs (``checkpoint/v1``) so
-    ``resume=True`` skips them after a preemption; ``cell_timeout``
-    arms the hung-worker watchdog; ``max_failures`` trips the typed
-    circuit breaker.  A drained (SIGINT/SIGTERM) campaign returns a
-    *partial* report marked ``interrupted`` with salvage counts
-    instead of raising — every run is seeded, so resuming later
-    converges to the uninterrupted report bit-for-bit.
+    ``checkpoint`` persists completed runs in the sweep's result store
+    under a ``checkpoint/v2`` manifest so ``resume=True`` serves them
+    after a preemption; ``cell_timeout`` arms the hung-worker watchdog;
+    ``max_failures`` trips the typed circuit breaker.  A drained
+    (SIGINT/SIGTERM) campaign returns a *partial* report marked
+    ``interrupted`` with salvage counts instead of raising — every run
+    is seeded, so resuming later converges to the uninterrupted report
+    bit-for-bit.
 
     ``store``/``queue``/``lease_ttl`` arm the multi-host fleet
     substrate (shared content-addressed result store + lease work

@@ -693,7 +693,7 @@ class McBatchSpec:
     """One content-addressed unit of campaign work.
 
     The spec fully determines its :class:`McBatchStat` (counter RNG +
-    deterministic reductions), so the PR 5 journal can replay it
+    deterministic reductions), so a result store can serve it
     bit-identically on resume.
     """
 
@@ -938,13 +938,14 @@ def run_mc_campaign(
     """Streaming conditional-MC campaign with checkpointed batches.
 
     Work proceeds in *waves*: one ``batch_trials``-trial batch per fault
-    count ``k`` per wave, fanned through the PR 5
-    :class:`~repro.sim.sweep.SweepEngine` (content-addressed journal per
-    wave under ``checkpoint``, SIGTERM drain salvages completed
-    batches).  After each wave the streaming estimate is refreshed and a
-    trajectory point recorded; the campaign stops when the ``trials``
-    budget is spent, the ``p_block_due`` CI half-width reaches
-    ``target_ci``, or ``max_waves`` waves have run.
+    count ``k`` per wave, fanned through the
+    :class:`~repro.sim.sweep.SweepEngine` (one checkpoint manifest per
+    wave under ``checkpoint/wave-NNNN``, over the shared ``store`` when
+    one is armed and else a store in that directory; SIGTERM drain
+    salvages completed batches).  After each wave the streaming
+    estimate is refreshed and a trajectory point recorded; the campaign
+    stops when the ``trials`` budget is spent, the ``p_block_due`` CI
+    half-width reaches ``target_ci``, or ``max_waves`` waves have run.
 
     ``importance`` is a class->probability sampling distribution (see
     :func:`importance_distribution`); estimates stay unbiased via exact

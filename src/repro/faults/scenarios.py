@@ -701,7 +701,7 @@ def run_scenario_campaign(
 
     Same contract as :func:`repro.faults.campaign.run_campaign`:
     ``jobs > 1`` fans cells across workers bit-identically, completed
-    cells journal to ``checkpoint`` so ``resume=True`` skips them, a
+    cells persist under ``checkpoint`` so ``resume=True`` serves them, a
     drained campaign returns a partial report marked ``interrupted``,
     and any violation raises :class:`SilentCorruptionError` when
     ``enforce_invariant`` is set.  ``store``/``queue``/``lease_ttl``

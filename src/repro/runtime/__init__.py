@@ -1,12 +1,14 @@
 """Preemption-tolerant campaign runtime.
 
 Resilience primitives shared by every long-running harness in the
-repo: crash-safe artifact writing (:mod:`repro.runtime.atomic`),
-checkpoint/resume journals (:mod:`repro.runtime.checkpoint`), worker
-supervision — failure taxonomy, retry policy with decorrelated jitter,
-graceful signal draining (:mod:`repro.runtime.supervision`) — and the
-multi-host fleet substrate: a content-addressed shared result store
-(:mod:`repro.runtime.store`) and a lease-based work queue
+repo: crash-safe artifact writing (:mod:`repro.runtime.atomic`), the
+content-addressed result store that is the one place cell results
+persist (:mod:`repro.runtime.store`), the checkpoint manifest that
+makes a sweep resumable over that store
+(:mod:`repro.runtime.checkpoint`), worker supervision — failure
+taxonomy, retry policy with decorrelated jitter, graceful signal
+draining (:mod:`repro.runtime.supervision`) — and a lease-based work
+queue that lets a fleet of hosts drain one campaign
 (:mod:`repro.runtime.queue`).
 :class:`repro.sim.SweepEngine` and the chaos campaign runner are built
 on top of this package.
@@ -20,7 +22,6 @@ from repro.runtime.atomic import (
     set_failpoint,
 )
 from repro.runtime.checkpoint import (
-    JOURNAL_NAME,
     SCHEMA_VERSION as CHECKPOINT_SCHEMA,
     CheckpointJournal,
     cell_key,
@@ -61,7 +62,6 @@ __all__ = [
     "DEFAULT_LEASE_TTL",
     "FAILURE_CLASSES",
     "FatalCellError",
-    "JOURNAL_NAME",
     "LEASE_SCHEMA",
     "Lease",
     "QUEUE_SCHEMA",

@@ -1,10 +1,11 @@
 """Crash-safe artifact writing: tmp file + fsync + atomic rename.
 
-Every JSON report, benchmark payload, CSV figure, and checkpoint
-journal the toolkit emits goes through this module, so a power cut (or
-an OOM kill, or an operator Ctrl-C) mid-write can never leave a torn
-half-file behind: readers observe either the complete old contents or
-the complete new contents, nothing in between.
+Every JSON report, benchmark payload, CSV figure, checkpoint manifest
+and result-store entry the toolkit emits goes through this module, so
+a power cut (or an OOM kill, or an operator Ctrl-C) mid-write can
+never leave a torn half-file behind: readers observe either the
+complete old contents or the complete new contents, nothing in
+between.
 
 The recipe is the standard POSIX one:
 
@@ -37,7 +38,7 @@ class SimulatedCrashError(RuntimeError):
     """Raised by test failpoints standing in for a power cut / kill -9.
 
     Production code never raises this; harness tests inject it at
-    chosen points (mid-write, between journal appends) and then assert
+    chosen points (mid-write, between cell publishes) and then assert
     that every artifact on disk still parses and that a resumed run
     converges to the uninterrupted result.
     """

@@ -1,51 +1,46 @@
-"""``checkpoint/v1``: a crash-safe journal of completed sweep cells.
+"""``checkpoint/v2``: a resumable sweep is a manifest over one store.
 
-A long sweep appends one JSONL record per *successfully completed*
-cell to ``<dir>/journal.jsonl``.  Each record is keyed by a
-deterministic content-addressed digest of the cell description (plus
-the runner's identity), so ``--resume <dir>``:
+A sweep persists cell results in exactly one place: its
+:class:`~repro.runtime.store.ResultStore`, whose ``store/v1`` entries
+are keyed by :func:`cell_key` (sha256 of the cell description plus the
+runner identity) and sha256-verified on every read.  ``checkpoint=DIR``
+adds one small manifest, ``DIR/checkpoint.json``, saying which sweep
+those entries belong to and which store holds them::
 
-* skips every cell whose key is already journaled (restoring its exact
-  :class:`~repro.sim.sweep.CellOutcome`, result object included), and
-* re-runs everything else — failed cells are deliberately *not*
-  journaled, so a resume retries them.
+    {"schema": "checkpoint/v2",
+     "fingerprint": "<sha256 of the sorted cell keys>",
+     "total_cells": N,
+     "store": null}      # or "<realpath of the shared store>"
 
-Because a cell's result is a pure function of its description, the
-merged (resumed + fresh) results are bit-identical to an uninterrupted
-run.  The journal is append-only and fsync'd per record; a crash can
-at worst leave a torn final line, which :meth:`CheckpointJournal.load`
-discards (and truncates away before appending resumes), so the journal
-itself is crash-safe without any atomic-rename machinery.
+The store is the shared ``store=`` (or the queue's) when one is armed;
+otherwise it is rooted at ``DIR`` itself and ``store`` is ``null``.
+Every completed cell is published into it as it finishes
+(:meth:`CheckpointJournal.record`); failed cells are never published,
+so a resume retries them.
 
-Record grammar (one JSON object per line)::
-
-    {"kind": "header", "schema": "checkpoint/v1",
-     "fingerprint": "<sha256 of runner + sorted cell keys>",
-     "total_cells": N}
-    {"kind": "cell", "key": "<sha256>", "index": i, "label": "...",
-     "ok": true, "attempts": n, "wall_seconds": w,
-     "failure_class": "", "result_b64": "<base64 pickle>"}
-
-``result_b64`` carries the pickled result object so restoration is
-exact for any picklable result type (dataclass, dict, ...); the
-scalar fields beside it keep the journal greppable and are what the
-schema doc (VERIFY_SCHEMA.md) pins.
+``--resume DIR`` re-reads the manifest with the queue's manifest
+reader, refuses a different fingerprint or a different store
+(:class:`~repro.runtime.CheckpointMismatchError`), and serves every
+cell the store holds.  A corrupt entry fails verification, is moved
+to the store's ``quarantine/`` and recomputed, so a resume never
+serves an unverified result.  Because a cell's result is a pure
+function of its key, the merged results are bit-identical to an
+uninterrupted run.
 """
 
 from __future__ import annotations
 
-import base64
 import dataclasses
 import hashlib
 import json
 import os
-import pickle
 
-from repro.runtime.atomic import fsync_directory
+from repro.runtime.atomic import atomic_write_json
+from repro.runtime.queue import check_fingerprint, read_manifest
 from repro.runtime.supervision import CheckpointMismatchError
 
-SCHEMA_VERSION = "checkpoint/v1"
-JOURNAL_NAME = "journal.jsonl"
+SCHEMA_VERSION = "checkpoint/v2"
+MANIFEST_NAME = "checkpoint.json"
 
 
 def _canonical(obj):
@@ -107,150 +102,69 @@ def sweep_fingerprint(keys) -> str:
 
 
 class CheckpointJournal:
-    """Append-only, fsync'd journal of completed cell outcomes.
+    """The checkpoint manifest of one sweep, and the publish into its
+    store.
 
     Parameters
     ----------
     directory:
-        Checkpoint directory (created if missing); the journal lives at
-        ``<directory>/journal.jsonl``.
+        Checkpoint directory (created if missing); the manifest lives at
+        ``<directory>/checkpoint.json``.
+    store:
+        The sweep's :class:`~repro.runtime.store.ResultStore`; every
+        completed cell is published into it.
     fingerprint:
-        The sweep fingerprint the journal must belong to.  On resume a
-        mismatch raises :class:`CheckpointMismatchError` instead of
-        silently merging two different experiments.
+        The sweep fingerprint the checkpoint must belong to.
     total_cells:
-        Advisory cell count recorded in the header.
+        Advisory cell count recorded in the manifest.
     resume:
-        ``True`` loads any existing journal (tolerating a torn tail)
-        and appends to it; ``False`` starts a fresh journal.
-    fail_after_appends:
-        Test-only failpoint: after this many successful appends the
-        next append writes *half* a record and raises
-        :class:`~repro.runtime.atomic.SimulatedCrashError`, simulating
-        a power cut mid-append.
+        ``True`` verifies an existing manifest: another fingerprint or
+        another store raises :class:`CheckpointMismatchError`.
+        ``False``, or no manifest yet, writes a fresh one.
+
+    A store outside ``directory`` (a shared ``store=`` or a queue's)
+    has its path recorded, so a resume without it, or with another,
+    fails loudly instead of recomputing everything.
     """
 
-    def __init__(self, directory, *, fingerprint: str, total_cells: int = 0,
-                 resume: bool = False, fail_after_appends: int = None):
-        self.directory = os.fspath(directory)
-        self.path = os.path.join(self.directory, JOURNAL_NAME)
-        self.fingerprint = fingerprint
-        self.total_cells = total_cells
-        self._fail_after = fail_after_appends
-        self._appends = 0
-        self._fh = None
-        self.completed: dict = {}    # key -> restored outcome
-        os.makedirs(self.directory, exist_ok=True)
-        if resume and os.path.exists(self.path):
-            self._load_existing()
-            self._fh = open(self.path, "a")
-        else:
-            self._fh = open(self.path, "w")
-            self._append_line({
-                "kind": "header",
-                "schema": SCHEMA_VERSION,
-                "fingerprint": self.fingerprint,
-                "total_cells": self.total_cells,
-            })
-
-    # -- loading -------------------------------------------------------
-
-    def _load_existing(self) -> None:
-        """Replay the journal; discard (and truncate) a torn tail."""
-        good_end = 0
-        header = None
-        with open(self.path, "rb") as fh:
-            for raw in fh:
-                if not raw.endswith(b"\n"):
-                    break   # torn tail: crash mid-append
-                try:
-                    record = json.loads(raw)
-                except ValueError:
-                    break   # torn line that still got its newline
-                if header is None:
-                    if record.get("kind") != "header":
-                        raise CheckpointMismatchError(
-                            f"{self.path}: first record is not a header"
-                        )
-                    if record.get("schema") != SCHEMA_VERSION:
-                        raise CheckpointMismatchError(
-                            f"{self.path}: schema "
-                            f"{record.get('schema')!r} != {SCHEMA_VERSION}"
-                        )
-                    if record.get("fingerprint") != self.fingerprint:
-                        raise CheckpointMismatchError(
-                            f"{self.path}: journal belongs to a different "
-                            "sweep (cell grid, seed, or runner changed); "
-                            "refusing to merge"
-                        )
-                    header = record
-                elif record.get("kind") == "cell" and record.get("ok"):
-                    self.completed[record["key"]] = record
-                good_end += len(raw)
-        if header is None:
+    def __init__(self, directory, *, store, fingerprint: str,
+                 total_cells: int = 0, resume: bool = False):
+        self.path = os.path.join(directory, MANIFEST_NAME)
+        self.store = store
+        store_path = os.path.realpath(store.directory)
+        manifest = {
+            "schema": SCHEMA_VERSION,
+            "fingerprint": fingerprint,
+            "total_cells": total_cells,
+            "store": (None if store_path == os.path.realpath(directory)
+                      else store_path),
+        }
+        existing = (read_manifest(self.path, SCHEMA_VERSION,
+                                  CheckpointMismatchError)
+                    if resume else None)
+        if existing is None:
+            os.makedirs(directory, exist_ok=True)
+            atomic_write_json(self.path, manifest)
+            return
+        check_fingerprint(existing, fingerprint, self.path,
+                          CheckpointMismatchError, "merge")
+        if existing.get("store") != manifest["store"]:
             raise CheckpointMismatchError(
-                f"{self.path}: no readable header record"
+                f"{self.path}: the checkpoint was written with "
+                f"{_store_name(existing.get('store'))}, this resume "
+                f"uses {_store_name(manifest['store'])}; resume with "
+                "the same --store/--queue"
             )
-        end = os.path.getsize(self.path)
-        if good_end != end:
-            # Drop the torn tail so the next append starts on a clean
-            # line boundary instead of concatenating onto garbage.
-            with open(self.path, "r+b") as fh:
-                fh.truncate(good_end)
-
-    # -- appending -----------------------------------------------------
-
-    def _append_line(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True) + "\n"
-        if self._fail_after is not None and self._appends >= self._fail_after:
-            from repro.runtime.atomic import SimulatedCrashError
-
-            # Simulate a power cut mid-append: half a record, no fsync.
-            self._fh.write(line[: max(1, len(line) // 2)])
-            self._fh.flush()
-            raise SimulatedCrashError(
-                f"injected crash during journal append #{self._appends + 1}"
-            )
-        self._fh.write(line)
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._appends += 1
 
     def record(self, key: str, outcome) -> None:
-        """Journal one successfully completed cell outcome."""
-        self._append_line({
-            "kind": "cell",
-            "key": key,
-            "index": outcome.index,
-            "label": outcome.label,
-            "ok": bool(outcome.ok),
-            "attempts": outcome.attempts,
-            "wall_seconds": outcome.wall_seconds,
-            "failure_class": getattr(outcome, "failure_class", ""),
-            "result_b64": base64.b64encode(
-                pickle.dumps(outcome.result)
-            ).decode("ascii"),
-        })
+        """Publish one completed cell into the checkpoint's store.
 
-    @staticmethod
-    def restore_result(record: dict):
-        """The exact result object a journaled record carried."""
-        return pickle.loads(base64.b64decode(record["result_b64"]))
+        A shared store on its own degrades on a failed write; a
+        checkpoint raises instead, because a sweep that cannot be
+        resumed must say so.
+        """
+        self.store.put(key, outcome, strict=True)
 
-    def close(self) -> None:
-        if self._fh is not None:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            self._fh.close()
-            self._fh = None
-            fsync_directory(self.directory)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
+def _store_name(path) -> str:
+    return f"store {path}" if path else "the checkpoint's own store"

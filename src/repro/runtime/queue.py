@@ -68,7 +68,40 @@ class QueueMismatchError(CheckpointMismatchError):
     """The queue directory holds a *different* campaign.
 
     Joining it would interleave cells from two experiments; hard error,
-    exactly like resuming against a foreign checkpoint journal."""
+    exactly like resuming against a foreign checkpoint."""
+
+
+def read_manifest(path, schema: str, error):
+    """The JSON manifest at ``path``, or ``None`` when there is none.
+
+    Shared by the queue's ``campaign.json`` and the checkpoint's
+    ``checkpoint.json``: an unparseable manifest or one of another
+    schema raises ``error`` rather than being silently replaced.
+    """
+    try:
+        with open(path) as fh:
+            manifest = json.load(fh)
+    except FileNotFoundError:
+        return None
+    except ValueError as exc:
+        raise error(f"{path}: unreadable manifest ({exc})")
+    found = manifest.get("schema") if isinstance(manifest, dict) else None
+    if found != schema:
+        raise error(f"{path}: schema {found!r} != {schema}")
+    return manifest
+
+
+def check_fingerprint(manifest: dict, fingerprint: str, path, error,
+                      verb: str) -> None:
+    """Raise ``error``, refusing to ``verb``, unless ``manifest``
+    belongs to ``fingerprint``."""
+    if manifest.get("fingerprint") != fingerprint:
+        raise error(
+            f"{path}: holds campaign "
+            f"{manifest.get('fingerprint', '?')[:12]}…, caller "
+            f"built {fingerprint[:12]}… (cell grid, seed, or runner "
+            f"changed); refusing to {verb}"
+        )
 
 
 def register_lease_instruments(registry) -> dict:
@@ -219,13 +252,8 @@ class WorkQueue:
         """
         existing = self.read_manifest()
         if existing is not None:
-            if existing.get("fingerprint") != fingerprint:
-                raise QueueMismatchError(
-                    f"{self.manifest_path}: queue holds campaign "
-                    f"{existing.get('fingerprint', '?')[:12]}…, caller "
-                    f"built {fingerprint[:12]}… (cell grid, seed, or "
-                    "runner changed); refusing to join"
-                )
+            check_fingerprint(existing, fingerprint, self.manifest_path,
+                              QueueMismatchError, "join")
             return existing
         manifest = {
             "schema": QUEUE_SCHEMA,
@@ -242,22 +270,8 @@ class WorkQueue:
 
     def read_manifest(self):
         """The raw campaign manifest, or ``None`` if unpublished."""
-        try:
-            with open(self.manifest_path) as fh:
-                manifest = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except ValueError as exc:
-            raise QueueMismatchError(
-                f"{self.manifest_path}: unreadable campaign manifest "
-                f"({exc})"
-            )
-        if manifest.get("schema") != QUEUE_SCHEMA:
-            raise QueueMismatchError(
-                f"{self.manifest_path}: schema "
-                f"{manifest.get('schema')!r} != {QUEUE_SCHEMA}"
-            )
-        return manifest
+        return read_manifest(self.manifest_path, QUEUE_SCHEMA,
+                             QueueMismatchError)
 
     def load_campaign(self) -> dict:
         """Manifest with ``cells`` unpickled and ``runner`` resolved —

@@ -1,12 +1,13 @@
-"""``store/v1``: a content-addressed shared result store for fleets.
+"""``store/v1``: the content-addressed result store.
 
-The checkpoint journal (``checkpoint/v1``) makes one *process* on one
-host resumable.  The store generalizes that to N hosts sharing one
-directory (NFS, a bind mount, plain local disk): every completed cell
-is published as one small JSON entry keyed by the same content-
-addressed digest the journal uses (:func:`repro.runtime.cell_key` —
-sha256 of the full cell description plus the runner identity), so any
-worker anywhere can satisfy any cell it has already been computed for.
+The store is the one place completed cell results persist, alike for
+one process resuming after a kill (``checkpoint/v2`` is a manifest
+over a store) and for N hosts sharing one directory (NFS, a bind
+mount, plain local disk).  Every completed cell is published as one
+small JSON entry keyed by its content-addressed digest
+(:func:`repro.runtime.cell_key` — sha256 of the full cell description
+plus the runner identity), so any worker anywhere can serve a cell
+once anyone has computed it.
 Because a cell's result is a pure function of its key, duplicate
 execution is harmless — at-least-once execution by the work queue
 becomes *exactly-once-effective* here: the second writer publishes a
@@ -35,7 +36,10 @@ is swallowed into the ``runtime.store.errors`` counter and the
 ``runtime.store.degraded`` gauge — a read error is a miss (compute
 locally), a write error is a dropped publish (the result still lands
 in the caller's own outcome list).  An unreachable store directory at
-construction disables the store outright with a single warning.
+construction disables the store outright with a single warning.  The
+one exception is a checkpoint's publish (``put(..., strict=True)``),
+which raises: a checkpoint that silently dropped cells would not be
+resumable.
 """
 
 from __future__ import annotations
@@ -226,18 +230,17 @@ class ResultStore:
             # refuse to serve it (the caller recomputes regardless).
             self._degrade(f"quarantine failed: {exc}")
 
-    @staticmethod
-    def restore_result(record: dict):
-        """The exact result object a store entry carries."""
-        return pickle.loads(base64.b64decode(record["payload_b64"]))
-
     # -- write side ----------------------------------------------------
 
-    def put(self, key: str, outcome) -> bool:
+    def put(self, key: str, outcome, *, strict: bool = False) -> bool:
         """Publish a completed :class:`CellOutcome`'s result under
         ``key``; returns ``False`` (and degrades) on store I/O errors
-        instead of raising — the caller keeps its local outcome."""
+        instead of raising — the caller keeps its local outcome.
+        ``strict`` raises the error instead (a checkpoint's publish)."""
         if self.disabled:
+            if strict:
+                raise OSError(f"result store {self.directory} is "
+                              "unreachable")
             return False
         payload = pickle.dumps(outcome.result)
         record = {
@@ -254,6 +257,8 @@ class ResultStore:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             atomic_write_json(path, record)
         except OSError as exc:
+            if strict:
+                raise
             self._degrade(f"write failed: {exc}")
             return False
         self._m_writes.n += 1

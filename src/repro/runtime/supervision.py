@@ -66,7 +66,8 @@ class TooManyFailuresError(SweepError):
 
 
 class CheckpointMismatchError(SweepError):
-    """``--resume`` pointed at a journal for a *different* sweep.
+    """``--resume`` pointed at a checkpoint of a *different* sweep (or
+    one whose results live in another store).
 
     Resuming against a mismatched cell grid would silently merge
     results from two experiments, so this is a hard error."""
@@ -184,28 +185,19 @@ class CellState:
     index: int
     attempts: int = 0           # attempts *started*
     history: list = field(default_factory=list)   # AttemptRecords
-    resumed: bool = False
     #: Times this cell was requeued for free after a pool break it was
     #: (probably) not responsible for; a repeat offender is charged.
     crash_strikes: int = 0
-
-    @property
-    def last_class(self) -> str:
-        return self.history[-1].failure_class if self.history else ""
-
-    @property
-    def last_error(self) -> str:
-        return self.history[-1].error if self.history else ""
 
 
 class SignalDrain:
     """Graceful SIGINT/SIGTERM handling for a long-running sweep.
 
     First signal: set ``requested`` — the engine stops launching new
-    cells, drains the ones in flight, flushes the journal, and emits a
-    partial report marked ``interrupted``.  Second signal: hard stop
-    (``KeyboardInterrupt`` out of the main loop; ``finally`` blocks
-    still run, so the journal is closed and workers are reaped).
+    cells, drains the ones in flight (publishing their results), and
+    emits a partial report marked ``interrupted``.  Second signal: hard
+    stop (``KeyboardInterrupt`` out of the main loop; ``finally``
+    blocks still run, so leases are released and workers are reaped).
 
     Handlers are only installed from the main thread (Python restricts
     ``signal.signal`` to it) and always restored on exit, so nesting a

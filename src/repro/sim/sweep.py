@@ -13,11 +13,16 @@ the *same* runner in-process, so ``jobs=1`` and ``jobs=N`` produce
 bit-identical results.  On top of that, the engine is built on
 :mod:`repro.runtime` to survive the failure modes of long campaigns:
 
-* **checkpoint/resume** — with ``checkpoint=<dir>`` every completed
-  cell is journaled (``checkpoint/v1``, fsync'd JSONL) under a
-  content-addressed key; ``resume=True`` skips journaled cells and
-  restores their exact outcomes, so an interrupted sweep resumed later
-  merges to results bit-identical to an uninterrupted run.
+* **one loop** — every cell goes serve → claim → run → publish.
+  ``jobs`` only decides whether a cell runs in this process or in a
+  process pool; an armed work queue only changes what claiming means
+  (a lease, then a second look at the store and the poison record).
+* **checkpoint/resume** — completed cells persist in one place, the
+  content-addressed result store (``store/v1``, sha256-verified on
+  read).  ``checkpoint=<dir>`` adds a manifest (``checkpoint/v2``)
+  naming the sweep and its store; ``resume=True`` serves every stored
+  cell, so an interrupted sweep resumed later merges to results
+  bit-identical to an uninterrupted run.
 * **worker supervision** — a watchdog tracks when each in-flight cell
   actually started running (the per-worker heartbeat); a cell over its
   ``timeout`` grace gets its worker killed and replaced.  Failures are
@@ -25,8 +30,9 @@ bit-identical results.  On top of that, the engine is built on
   ``fatal``) and retried per class with exponential backoff +
   decorrelated jitter.
 * **graceful shutdown** — the first SIGINT/SIGTERM drains in-flight
-  cells, flushes the journal, and returns partial outcomes (unfinished
-  cells marked ``interrupted``); a second signal hard-stops.
+  cells, publishes their results, and returns partial outcomes
+  (unfinished cells marked ``interrupted``); a second signal
+  hard-stops.
 * **circuit breaker** — ``max_failures=N`` raises a typed
   :class:`~repro.runtime.TooManyFailuresError` after N terminal cell
   failures instead of grinding through a doomed matrix.
@@ -48,9 +54,11 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -115,10 +123,10 @@ class CellOutcome:
     ``attempts`` counts runner *starts* (exact even under jobs=N
     out-of-order completion — each submission increments it exactly
     once); ``attempt_history`` records every failed attempt with its
-    failure class and backoff; ``resumed`` marks outcomes restored
-    from a checkpoint journal instead of executed this run; ``reused``
-    marks outcomes served from the shared content-addressed result
-    store (possibly computed by another host).
+    failure class and backoff.  An outcome served from the store
+    instead of executed this run is ``resumed`` when the sweep resumes
+    a checkpoint, else ``reused`` (a shared store, possibly filled by
+    another host).
     """
 
     index: int
@@ -147,13 +155,14 @@ class SweepProgress:
     eta_seconds: float
     label: str
     ok: bool
-    #: True when this cell was restored from the checkpoint journal
-    #: rather than executed (resumed cells complete "instantly" and are
-    #: excluded from the ETA rate estimate).
+    #: True when this cell was served from the store on a checkpoint
+    #: resume rather than executed (resumed cells complete "instantly"
+    #: and are excluded from the ETA rate estimate).
     resumed: bool = False
-    #: True when this cell was served from the shared result store
-    #: (also "instant", also excluded from the ETA rate estimate — a
-    #: warm store must not make the remaining fresh cells look free).
+    #: True when this cell was served from a shared result store
+    #: without a resume (also "instant", also excluded from the ETA
+    #: rate estimate — a warm store must not make the remaining fresh
+    #: cells look free).
     reused: bool = False
 
 
@@ -179,6 +188,17 @@ def _timed_call(runner, cell):
     return result, time.perf_counter() - start
 
 
+def _run_here(runner, cell) -> Future:
+    """``jobs=1`` dispatch: run the cell in this process now and hand
+    the loop a finished future, as a pool would."""
+    future = Future()
+    try:
+        future.set_result(_timed_call(runner, cell))
+    except Exception as exc:   # classified by the loop, like a pool's
+        future.set_exception(exc)
+    return future
+
+
 class SweepEngine:
     """Fan cells across processes; collect deterministic, fault-tolerant
     results.
@@ -193,8 +213,9 @@ class SweepEngine:
         picklable and a pure function of the cell for the
         ``jobs=1 == jobs=N`` determinism guarantee to hold.
     jobs:
-        Worker processes.  ``jobs <= 1`` runs in-process (same runner,
-        identical results, no pickling requirement).
+        Worker processes.  ``jobs <= 1`` runs each cell in this process
+        (same runner, identical results, no pickling requirement);
+        more dispatch to a process pool.  Nothing else changes.
     timeout:
         Per-cell running-time grace in seconds (None = wait forever).
         The clock starts when the cell is *observed running* on a
@@ -211,12 +232,16 @@ class SweepEngine:
         Optional callable receiving a :class:`SweepProgress` after each
         cell completes (ETA from mean observed fresh-cell latency).
     checkpoint:
-        Checkpoint directory (str/path), or a factory
-        ``(fingerprint, total_cells) -> CheckpointJournal`` for tests.
-        Completed cells are journaled crash-safely as they finish.
+        Checkpoint directory.  Completed cells are published into the
+        sweep's one result store as they finish, and
+        ``<checkpoint>/checkpoint.json`` (``checkpoint/v2``) records
+        the sweep fingerprint and which store holds them: the shared
+        ``store`` (or the queue's) when one is armed, else a store
+        rooted at this directory.  A failed checkpoint write raises.
+        Without ``resume``, a checkpoint alone reads nothing back.
     resume:
-        With ``checkpoint``, load the existing journal and skip every
-        already-completed cell (restoring its exact outcome).
+        With ``checkpoint``, verify its manifest and serve every cell
+        the store already holds (``resumed`` outcomes).
     max_failures:
         Circuit breaker: raise :class:`TooManyFailuresError` after this
         many terminal cell failures.
@@ -225,9 +250,10 @@ class SweepEngine:
         live on a network filesystem shared by a fleet) or a prebuilt
         :class:`~repro.runtime.ResultStore`.  Cells whose key is
         already present are served from the store (``reused``
-        outcomes); fresh completions are published back.  An
-        unreachable or read-only store degrades to local compute with
-        warning counters — it never fails the sweep.
+        outcomes, ``resumed`` under ``resume``); fresh completions are
+        published back.  An unreachable or read-only store degrades to
+        local compute with warning counters — unless a checkpoint
+        writes through it, it never fails the sweep.
     queue:
         Multi-host work-queue directory (or prebuilt
         :class:`~repro.runtime.WorkQueue`).  Arms fleet mode: this
@@ -292,7 +318,7 @@ class SweepEngine:
             help="worker pools killed and replaced (hung or crashed)")
         self._m_resumed = ensure(
             "counter", "runtime.cells_resumed",
-            help="cells restored from the checkpoint journal")
+            help="cells served from the store on a checkpoint resume")
         self._m_reused = ensure(
             "counter", "runtime.cells_reused",
             help="cells served from the shared result store")
@@ -317,44 +343,45 @@ class SweepEngine:
         self.failures: list = []
         self.resumed_count = 0
         self.reused_count = 0
+        self._keys = None
         self._store = None
         self._queue = None
+        self._checkpoint = None
 
     # -- public API ----------------------------------------------------
 
     def run(self) -> list:
         """Execute every cell; outcomes in cell order (a failing cell
         degrades to ``CellOutcome.ok == False`` instead of raising —
-        only the ``max_failures`` breaker and checkpoint/journal errors
+        only the ``max_failures`` breaker and checkpoint errors
         raise)."""
         if not self.cells:
             return []
+        if self.resume and self.checkpoint is None:
+            raise ValueError("resume=True requires checkpoint=")
         self.interrupted = False
         self.signal_name = ""
         self.failures = []
         self.resumed_count = 0
         self.reused_count = 0
-        self._ensure_keys()
-        journal = self._open_journal()
+        shared = self.store_spec is not None or self.queue_spec is not None
+        if shared or self.checkpoint is not None:
+            self._keys = [cell_key(cell, self.runner) for cell in self.cells]
         self._queue = self._open_queue()
         self._store = self._open_store()
+        self._checkpoint = None
+        if self.checkpoint is not None:
+            self._checkpoint = CheckpointJournal(
+                self.checkpoint, store=self._store,
+                fingerprint=sweep_fingerprint(self._keys),
+                total_cells=len(self.cells), resume=self.resume,
+            )
+        # A checkpoint alone only writes; it is read back on resume.
+        self._serving = shared or self.resume
         outcomes = [None] * len(self.cells)
         drain = SignalDrain()
-        try:
-            with drain:
-                self._restore_resumed(journal, outcomes)
-                if self._queue is not None:
-                    self._run_queue(outcomes, journal, drain)
-                else:
-                    if self._store is not None:
-                        self._restore_reused(outcomes)
-                    if self.jobs == 1:
-                        self._run_serial(outcomes, journal, drain)
-                    else:
-                        self._run_parallel(outcomes, journal, drain)
-        finally:
-            if journal is not None:
-                journal.close()
+        with drain:
+            self._execute(outcomes, drain)
         self.interrupted = drain.requested and any(
             o is None for o in outcomes
         )
@@ -378,28 +405,6 @@ class SweepEngine:
         cell = self.cells[index]
         return getattr(cell, "label", str(cell))
 
-    def _ensure_keys(self) -> None:
-        """Content-address every cell when any keyed feature is armed
-        (checkpoint journal, result store, work queue)."""
-        if (self.checkpoint is not None or self.store_spec is not None
-                or self.queue_spec is not None):
-            self._keys = [cell_key(cell, self.runner)
-                          for cell in self.cells]
-
-    def _open_journal(self):
-        if self.checkpoint is None:
-            if self.resume:
-                raise ValueError("resume=True requires checkpoint=")
-            return None
-        fingerprint = sweep_fingerprint(self._keys)
-        if callable(self.checkpoint) and not isinstance(
-                self.checkpoint, (str, bytes)):
-            return self.checkpoint(fingerprint, len(self.cells))
-        return CheckpointJournal(
-            self.checkpoint, fingerprint=fingerprint,
-            total_cells=len(self.cells), resume=self.resume,
-        )
-
     def _open_queue(self):
         if self.queue_spec is None:
             return None
@@ -413,106 +418,104 @@ class SweepEngine:
         return queue
 
     def _open_store(self):
+        """The sweep's one result store: the shared ``store``, else the
+        queue's (the store is what makes at-least-once execution
+        exactly-once-effective), else one rooted at the checkpoint."""
         spec = self.store_spec
         if spec is None and self._queue is not None:
-            # Queue mode without an explicit store: the store is what
-            # makes at-least-once execution exactly-once-effective, so
-            # default it to a sibling of the queue.
             spec = os.path.join(self._queue.directory, "store")
         if spec is None:
-            return None
-        if isinstance(spec, ResultStore):
+            spec = self.checkpoint
+        if spec is None or isinstance(spec, ResultStore):
             return spec
         return ResultStore(spec, registry=self.registry)
 
-    def _restore_resumed(self, journal, outcomes) -> None:
-        if journal is None or not journal.completed:
-            return
-        started = time.perf_counter()
-        for index in range(len(self.cells)):
-            record = journal.completed.get(self._keys[index])
-            if record is None:
-                continue
-            outcomes[index] = CellOutcome(
-                index=index,
-                label=record["label"],
-                ok=True,
-                result=journal.restore_result(record),
-                attempts=record["attempts"],
-                wall_seconds=record["wall_seconds"],
-                failure_class=record.get("failure_class", ""),
-                resumed=True,
-            )
-            self.resumed_count += 1
-            self._m_resumed.n += 1
-            self._report(outcomes, started, outcomes[index])
-
-    def _restore_reused(self, outcomes) -> None:
-        """Pre-pass: serve every cell already in the shared store."""
-        started = time.perf_counter()
-        for index in range(len(self.cells)):
-            if outcomes[index] is None:
-                self._restore_from_store(outcomes, started, index)
-
-    def _restore_from_store(self, outcomes, started: float,
-                            index: int) -> bool:
-        """Serve one cell from the store; ``False`` on a (valid) miss.
+    def _serve(self, outcomes, started: float, index: int) -> bool:
+        """Give a finished cell its outcome without running it: from the
+        store, or in fleet mode from a peer's poison record; ``False``
+        when neither has one.
 
         A corrupt entry was already quarantined by the store layer and
         reads as a miss, so the cell is recomputed — never served."""
-        record = self._store.get(self._keys[index])
-        if record is None:
-            return False
-        outcomes[index] = CellOutcome(
-            index=index,
-            label=record.get("label", self._label(index)),
-            ok=True,
-            result=record["result"],
-            attempts=record.get("attempts", 1),
-            wall_seconds=record.get("wall_seconds", 0.0),
-            reused=True,
-        )
-        self.reused_count += 1
-        self._m_reused.n += 1
-        self._report(outcomes, started, outcomes[index])
-        return True
+        if self._serving:
+            record = self._store.get(self._keys[index])
+            if record is not None:
+                outcome = CellOutcome(
+                    index=index,
+                    label=record.get("label", self._label(index)),
+                    ok=True,
+                    result=record["result"],
+                    attempts=record.get("attempts", 1),
+                    wall_seconds=record.get("wall_seconds", 0.0),
+                    resumed=self.resume,
+                    reused=not self.resume,
+                )
+                if self.resume:
+                    self.resumed_count += 1
+                    self._m_resumed.n += 1
+                else:
+                    self.reused_count += 1
+                    self._m_reused.n += 1
+                outcomes[index] = outcome
+                self._report(outcomes, started, outcome)
+                return True
+        if self._queue is not None:
+            record = self._queue.poisoned(self._keys[index])
+            if record is not None:
+                # Another worker's terminal failure, adopted verbatim:
+                # the same classified outcome, no local retry burn.
+                self._fail(outcomes, started, CellOutcome(
+                    index=index,
+                    label=record.get("label", self._label(index)),
+                    ok=False,
+                    error=record.get("error", "poisoned by another worker"),
+                    attempts=record.get("attempts", 0),
+                    failure_class=record.get("failure_class", "fatal"),
+                    attempt_history=record.get("attempt_history", []),
+                ))
+                return True
+        return False
 
-    def _adopt_poisoned(self, outcomes, started: float, index: int,
-                        record: dict) -> None:
-        """Surface another worker's quarantined terminal failure as this
-        run's outcome for the cell (identical classified failure, no
-        local retry burn)."""
-        outcome = CellOutcome(
-            index=index,
-            label=record.get("label", self._label(index)),
-            ok=False,
-            error=record.get("error", "poisoned by another worker"),
-            attempts=record.get("attempts", 0),
-            failure_class=record.get("failure_class", "fatal"),
-            attempt_history=record.get("attempt_history", []),
-        )
-        outcomes[index] = outcome
-        self.failures.append(outcome)
-        self._m_failures[outcome.failure_class] += 1
-        self._report(outcomes, started, outcome)
-        if (self.max_failures is not None
-                and len(self.failures) >= self.max_failures):
-            raise TooManyFailuresError(self.max_failures, self.failures)
+    def _claim(self, outcomes, started: float, index: int):
+        """Serve a finished cell (``None``), or claim it to run here: an
+        :class:`~contextlib.ExitStack` whose ``close()`` gives the claim
+        back.
 
-    def _publish_success(self, journal, index: int, outcome) -> None:
-        if journal is not None:
-            journal.record(self._keys[index], outcome)
-        if self._store is not None and not outcome.reused:
+        Without a queue every unserved cell is claimed outright.  With
+        one, claiming takes the cell's lease (``None`` while a live
+        peer holds it) and then looks at the store and the poison
+        record again: a peer may have finished the cell and released
+        its lease between the first lookup and this claim."""
+        if self._serve(outcomes, started, index):
+            return None
+        if self._queue is None:
+            return ExitStack()
+        lease = self._queue.try_claim(self._keys[index])
+        if lease is None:
+            return None
+        with ExitStack() as held:
+            held.callback(self._queue.release, lease)
+            if self._serve(outcomes, started, index):
+                return None
+            held.enter_context(self._queue.heartbeat(lease))
+            return held.pop_all()
+
+    def _publish(self, index: int, outcome) -> None:
+        """Persist a fresh result: through the checkpoint, whose write
+        must not fail, or into the shared store, which may degrade."""
+        if self._checkpoint is not None:
+            self._checkpoint.record(self._keys[index], outcome)
+        elif self._store is not None:
             self._store.put(self._keys[index], outcome)
 
     def _report(self, outcomes, started: float, outcome) -> None:
         if self.progress is None:
             return
         done = sum(1 for o in outcomes if o is not None)
-        # ETA extrapolates from *fresh* completions only: journaled
-        # (resumed) and store-served (reused) cells complete in
-        # microseconds and would otherwise collapse the rate estimate
-        # into an absurd ETA on a warm store.
+        # ETA extrapolates from *fresh* completions only: resumed and
+        # reused cells are served from the store in microseconds and
+        # would otherwise collapse the rate estimate into an absurd
+        # ETA on a warm store.
         fresh = done - self.resumed_count - self.reused_count
         elapsed = time.perf_counter() - started
         remaining = len(self.cells) - done
@@ -536,26 +539,17 @@ class SweepEngine:
             reused=outcome.reused,
         ))
 
-    def _finalize_failure(self, outcomes, journal, started, state,
-                          failure_class: str, error: str, *,
-                          poison: bool = False) -> None:
-        outcome = CellOutcome(
-            index=state.index,
-            label=self._label(state.index),
-            ok=False,
-            error=error,
-            attempts=state.attempts,
-            failure_class=failure_class,
-            attempt_history=[r.to_dict() for r in state.history],
-        )
-        outcomes[state.index] = outcome
+    def _fail(self, outcomes, started: float, outcome, *,
+              poison: bool = False) -> None:
+        """Record a terminal cell failure; trip the circuit breaker."""
+        outcomes[outcome.index] = outcome
         self.failures.append(outcome)
-        self._m_failures[failure_class] += 1
+        self._m_failures[outcome.failure_class] += 1
         if poison and self._queue is not None:
             # Retry budget truly exhausted (not a local drain): publish
             # the classified failure so the rest of the fleet skips the
             # cell instead of re-discovering it.
-            self._queue.poison(self._keys[state.index], outcome)
+            self._queue.poison(self._keys[outcome.index], outcome)
         self._report(outcomes, started, outcome)
         if (self.max_failures is not None
                 and len(self.failures) >= self.max_failures):
@@ -573,139 +567,50 @@ class SweepEngine:
         state.history.append(record)
         if strikes >= self.policy.max_attempts(failure_class):
             return -1.0
-        key = (self._keys[state.index] if hasattr(self, "_keys")
+        key = (self._keys[state.index] if self._keys is not None
                else f"cell-{state.index}")
         record.delay_s = self.policy.delay(key, state.attempts)
         self._m_retries.n += 1
         return record.delay_s
 
-    # -- serial --------------------------------------------------------
+    # -- the cell loop -------------------------------------------------
 
-    def _run_serial(self, outcomes, journal, drain) -> None:
-        started = time.perf_counter()
-        for index in range(len(self.cells)):
-            if outcomes[index] is not None:   # resumed or store-served
-                continue
-            if drain.requested:
-                return
-            self._run_cell_serial(outcomes, journal, drain, started, index)
+    def _execute(self, outcomes, drain) -> None:
+        """The one cell loop: serve → claim → run → publish.
 
-    def _run_cell_serial(self, outcomes, journal, drain,
-                         started: float, index: int) -> None:
-        """Execute one cell in-process with the full retry policy."""
-        state = CellState(index=index)
-        while True:
-            state.attempts += 1
-            start = time.perf_counter()
-            try:
-                result = self.runner(self.cells[index])
-            except Exception as exc:   # degrade, don't kill the sweep
-                failure_class = self.policy.classify(exc)
-                error = f"{type(exc).__name__}: {exc}"
-                delay = self._grant_retry(state, failure_class, error)
-                if delay < 0 or drain.requested:
-                    self._finalize_failure(outcomes, journal, started,
-                                           state, failure_class, error,
-                                           poison=delay < 0)
-                    return
-                if delay:
-                    time.sleep(delay)
-                continue
-            outcome = CellOutcome(
-                index=index, label=self._label(index), ok=True,
-                result=result, attempts=state.attempts,
-                wall_seconds=time.perf_counter() - start,
-                attempt_history=[r.to_dict() for r in state.history],
-            )
-            outcomes[index] = outcome
-            self._m_completed.n += 1
-            self._publish_success(journal, index, outcome)
-            self._report(outcomes, started, outcome)
-            return
-
-    # -- queue (fleet) -------------------------------------------------
-
-    def _run_queue(self, outcomes, journal, drain) -> None:
-        """Fleet mode: repeatedly scan the cell list, serving finished
-        cells from the store, adopting poisoned ones, and claiming the
-        rest via leases.
-
-        The scan-until-drained structure is what makes a partially dead
-        fleet converge: a cell leased by a worker that died simply
-        expires, and *some* surviving worker's next pass reclaims it.
-        With a fully degraded (unreachable) store the loop still
-        terminates — every claim failure or store miss is answered by
-        local compute on whoever holds the lease, and this worker's own
-        outcomes never depend on reading the store back.
+        Each cell is served from the store when it can be (see
+        :meth:`_serve`), else claimed (:meth:`_claim`), run, and its
+        result published.  ``jobs`` only picks the dispatcher: this
+        process, or a process pool whose watchdog starts each cell's
+        clock when it is observed running and kills and replaces the
+        pool when one overstays.  Every failure takes the same
+        per-class retry/backoff path.  In fleet mode one cell is in
+        flight per worker process, and cells leased by live peers are
+        scanned again until somebody finishes them: a cell leased by a
+        worker that died simply expires, and *some* survivor's next
+        pass reclaims it.
         """
         started = time.perf_counter()
         queue = self._queue
-        poll = max(0.05, min(1.0, queue.ttl / 6.0))
-        while not drain.requested:
-            progressed = False
-            remaining = [index for index, done in enumerate(outcomes)
-                         if done is None]
-            if not remaining:
-                return
-            for index in remaining:
-                if drain.requested:
-                    return
-                if self._serve_finished(outcomes, started, index):
-                    progressed = True
-                    continue
-                lease = queue.try_claim(self._keys[index])
-                if lease is None:
-                    continue   # validly held by another live worker
-                try:
-                    # A peer may have published (or poisoned) the cell
-                    # and released its lease between the lookup above
-                    # and this claim: look again before running it.
-                    if not self._serve_finished(outcomes, started, index):
-                        with queue.heartbeat(lease):
-                            self._run_cell_serial(outcomes, journal, drain,
-                                                  started, index)
-                finally:
-                    queue.release(lease)
-                if outcomes[index] is not None:
-                    progressed = True
-            if not progressed:
-                # Every remaining cell is leased by someone else: wait
-                # for the fleet (a completed cell appears in the store;
-                # a dead worker's lease expires and gets reclaimed).
-                time.sleep(poll)
-
-    def _serve_finished(self, outcomes, started: float, index: int) -> bool:
-        """Fleet mode: take a cell's outcome from the store, or adopt
-        its poison record; ``False`` when neither has one."""
-        if (self._store is not None
-                and self._restore_from_store(outcomes, started, index)):
-            return True
-        record = self._queue.poisoned(self._keys[index])
-        if record is None:
-            return False
-        self._adopt_poisoned(outcomes, started, index, record)
-        return True
-
-    # -- parallel ------------------------------------------------------
-
-    def _run_parallel(self, outcomes, journal, drain) -> None:
-        started = time.perf_counter()
-        states = {
-            index: CellState(index=index)
-            for index in range(len(self.cells))
-            if outcomes[index] is None
-        }
-        ready = deque(sorted(states))
-        delayed = []                 # (due_time, index), unsorted is fine
-        pending = {}                 # future -> index
-        heartbeat = {}               # future -> started-running time | None
-        future_gen = {}              # future -> pool generation
+        slots = 1 if queue is not None else self.jobs
+        todo = deque(range(len(self.cells)))   # to serve or claim
+        waiting = []         # leased by a live peer: the next scan pass
+        ready = deque()      # claimed, due to run (again)
+        delayed = []         # (due_time, index), unsorted is fine
+        pending = {}         # future -> index
+        heartbeat = {}       # future -> started-running time | None
+        future_gen = {}      # future -> pool generation
+        states = {}          # index -> CellState, once claimed
+        claims = {}          # index -> ExitStack giving the claim back
         pool_gen = 0
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        pool = ProcessPoolExecutor(max_workers=slots) if slots > 1 else None
+        scanned_done = 0
 
         def submit(index):
             states[index].attempts += 1
-            future = pool.submit(_timed_call, self.runner, self.cells[index])
+            cell = self.cells[index]
+            future = (_run_here(self.runner, cell) if pool is None
+                      else pool.submit(_timed_call, self.runner, cell))
             pending[future] = index
             heartbeat[future] = None
             future_gen[future] = pool_gen
@@ -729,25 +634,33 @@ class SweepEngine:
             old_pool.shutdown(wait=False, cancel_futures=True)
             pool_gen += 1
             self._m_restarts.n += 1
-            return ProcessPoolExecutor(max_workers=self.jobs)
+            return ProcessPoolExecutor(max_workers=slots)
 
         def fail_or_retry(index, failure_class, error, now):
             state = states[index]
             delay = self._grant_retry(state, failure_class, error)
             if delay < 0 or drain.requested:
-                self._finalize_failure(outcomes, journal, started, state,
-                                       failure_class, error)
+                self._fail(outcomes, started, CellOutcome(
+                    index=index,
+                    label=self._label(index),
+                    ok=False,
+                    error=error,
+                    attempts=state.attempts,
+                    failure_class=failure_class,
+                    attempt_history=[r.to_dict() for r in state.history],
+                ), poison=delay < 0)
+                claims.pop(index).close()
             else:
                 requeue(index, delay, now)
 
         try:
-            while pending or ready or delayed:
+            while True:
                 now = time.perf_counter()
                 if drain.requested:
                     # Stop launching; unfinished cells surface as
                     # ``interrupted`` outcomes after the drain.
-                    ready.clear()
-                    delayed.clear()
+                    for backlog in (todo, waiting, ready, delayed):
+                        backlog.clear()
                 else:
                     due = [i for t, i in delayed if t <= now]
                     if due:
@@ -756,12 +669,37 @@ class SweepEngine:
                     # Throttle in-flight to the worker count: a queued
                     # cell holds no worker, so its timeout clock (and
                     # heartbeat) only starts once it is truly running.
-                    while ready and len(pending) < self.jobs:
-                        submit(ready.popleft())
+                    while len(pending) < slots:
+                        if ready:
+                            submit(ready.popleft())
+                        elif todo and not (queue and claims):
+                            index = todo.popleft()
+                            held = self._claim(outcomes, started, index)
+                            if held is not None:
+                                claims[index] = held
+                                states[index] = CellState(index=index)
+                                submit(index)
+                            elif outcomes[index] is None:
+                                waiting.append(index)
+                        else:
+                            break
                 if not pending:
-                    if not ready and delayed:
+                    if delayed:
                         next_due = min(t for t, _ in delayed)
                         time.sleep(min(0.25, max(0.0, next_due - now)))
+                    elif waiting:
+                        # Every remaining cell is leased by a peer.
+                        # Unless this pass finished something, wait for
+                        # the fleet: a completed cell appears in the
+                        # store, a dead worker's lease expires.
+                        done = sum(1 for o in outcomes if o is not None)
+                        if done == scanned_done:
+                            time.sleep(max(0.05, min(1.0, queue.ttl / 6)))
+                        scanned_done = done
+                        todo.extend(waiting)
+                        waiting.clear()
+                    else:
+                        return
                     continue
 
                 finished, _ = wait(
@@ -807,7 +745,8 @@ class SweepEngine:
                     )
                     outcomes[index] = outcome
                     self._m_completed.n += 1
-                    self._publish_success(journal, index, outcome)
+                    self._publish(index, outcome)
+                    claims.pop(index).close()
                     self._report(outcomes, started, outcome)
                 if pool_broken:
                     # Surviving futures of the broken pool will also
@@ -849,7 +788,10 @@ class SweepEngine:
         finally:
             # wait=False so an abandoned (hung but unkillable) worker
             # can't wedge the sweep's exit.
-            pool.shutdown(wait=False, cancel_futures=True)
+            if pool is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+            for held in claims.values():
+                held.close()   # every lease is released on every exit
             self._m_heartbeat.v = 0
 
 
@@ -987,9 +929,9 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
     cell, total wall-clock for both runs, the parallel speedup, a
     bit-equality verdict between the serial and parallel results, and a
     ``runtime`` block quantifying the resilience layer's overhead
-    (engine wall-clock minus in-cell wall-clock — journal fsyncs and
-    supervision live there).  ``checkpoint_dir`` journals both legs
-    into separate subdirectories so the measured overhead includes
+    (engine wall-clock minus in-cell wall-clock — checkpoint fsyncs
+    and supervision live there).  ``checkpoint_dir`` checkpoints both
+    legs into separate subdirectories so the measured overhead includes
     checkpointing.
 
     A third, serial *store* leg reruns the grid with a cold
@@ -1116,7 +1058,7 @@ def run_bench(refs: int = 20_000, jobs: int = 2, seed: int = 2021,
             "serial_cell_wall_s": round(serial_cell_wall, 4),
             "overhead_s": round(overhead, 4),
             # The serial-leg budget the resilience layer must fit in
-            # (<2%): engine loop + journal fsyncs + supervision.
+            # (<2%): engine loop + checkpoint fsyncs + supervision.
             "overhead_fraction": (
                 round(overhead / serial_wall, 5) if serial_wall else None
             ),

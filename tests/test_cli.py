@@ -88,7 +88,7 @@ class TestCommands:
         assert main(["perf", "--workloads", "doom"]) == 1
 
     def test_perf_checkpoint_resume_roundtrip(self, capsys, tmp_path):
-        """A checkpointed perf sweep resumed from its journal emits a
+        """A checkpointed perf sweep resumed from its checkpoint emits a
         sweep/v1 report whose results are bit-identical to a clean run."""
         import json
 
@@ -100,7 +100,7 @@ class TestCommands:
 
         assert main(base + ["--out", str(clean_out)]) == 0
         assert main(base + ["--checkpoint", str(ckpt)]) == 0
-        assert (ckpt / "journal.jsonl").exists()
+        assert (ckpt / "checkpoint.json").exists()
         assert main(base + ["--resume", str(ckpt),
                             "--out", str(resumed_out)]) == 0
         capsys.readouterr()

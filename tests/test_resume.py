@@ -3,9 +3,13 @@ checkpoint/resume determinism (including oracle-verified cells),
 graceful signal draining, hung-worker watchdog, crashed-worker
 recovery, and the --max-failures circuit breaker."""
 
+import base64
 import json
 import os
+import pickle
+import re
 import signal
+import struct
 import time
 from dataclasses import asdict
 
@@ -13,10 +17,12 @@ import pytest
 
 from repro.faults import CampaignConfig, run_campaign
 from repro.runtime import (
-    CheckpointJournal,
     CheckpointMismatchError,
+    ResultStore,
     SimulatedCrashError,
     TooManyFailuresError,
+    cell_key,
+    set_failpoint,
 )
 from repro.sim import SimCell, SweepEngine, SystemConfig, sweep_report
 
@@ -74,15 +80,27 @@ def _fail_once(cell):
     return value * 3
 
 
-def _crashing_journal(directory, fail_after):
-    """Engine checkpoint factory that dies mid-append after N appends
-    (the header append counts)."""
-    def factory(fingerprint, total_cells):
-        return CheckpointJournal(
-            directory, fingerprint=fingerprint, total_cells=total_cells,
-            resume=True, fail_after_appends=fail_after,
-        )
-    return factory
+@pytest.fixture(autouse=True)
+def _clear_failpoint():
+    yield
+    set_failpoint(None)
+
+
+def _crash_after_writes(writes):
+    """Arm the atomic writer to die like a power cut once ``writes``
+    writes have landed (the checkpoint manifest is the first): the next
+    cell publish raises before its rename, so that cell never lands."""
+    landed = []
+
+    def failpoint(site):
+        if site == "before_rename":
+            if len(landed) == writes:
+                set_failpoint(None)
+                raise SimulatedCrashError(
+                    f"injected crash in atomic write #{writes + 1}")
+            landed.append(site)
+
+    set_failpoint(failpoint)
 
 
 class TestResumeDeterminism:
@@ -95,9 +113,9 @@ class TestResumeDeterminism:
         clean = clean_engine.run()
 
         ckpt = str(tmp_path / "ckpt")
-        # Crash after header + 2 journaled cells.
-        engine = SweepEngine(cells, runner=_square, jobs=1,
-                             checkpoint=_crashing_journal(ckpt, 3))
+        # Crash after the manifest + 2 published cells.
+        _crash_after_writes(3)
+        engine = SweepEngine(cells, runner=_square, jobs=1, checkpoint=ckpt)
         with pytest.raises(SimulatedCrashError):
             engine.run()
 
@@ -122,8 +140,8 @@ class TestResumeDeterminism:
         clean = SweepEngine(cells, runner=_square, jobs=1).run()
 
         ckpt = str(tmp_path / "ckpt")
-        engine = SweepEngine(cells, runner=_square, jobs=4,
-                             checkpoint=_crashing_journal(ckpt, fail_after))
+        _crash_after_writes(fail_after)
+        engine = SweepEngine(cells, runner=_square, jobs=4, checkpoint=ckpt)
         with pytest.raises(SimulatedCrashError):
             engine.run()
 
@@ -142,8 +160,8 @@ class TestResumeDeterminism:
         assert all(o.result.verify["ok"] for o in clean)
 
         ckpt = str(tmp_path / "ckpt")
-        engine = SweepEngine(cells, jobs=1,
-                             checkpoint=_crashing_journal(ckpt, 2))
+        _crash_after_writes(2)
+        engine = SweepEngine(cells, jobs=1, checkpoint=ckpt)
         with pytest.raises(SimulatedCrashError):
             engine.run()
 
@@ -155,7 +173,7 @@ class TestResumeDeterminism:
         assert resumed[0].resumed and not resumed[1].resumed
 
     def test_resume_reruns_previously_failed_cells(self, tmp_path):
-        """Failures are not journaled: a resume retries them instead of
+        """Failures are not published: a resume retries them instead of
         replaying the failure."""
         flags = str(tmp_path / "flags")
         os.makedirs(flags)
@@ -189,13 +207,12 @@ class TestResumeDeterminism:
         completed the ETA must be None (unknown); once a fresh cell
         lands it becomes a number; when the sweep is done it is 0."""
         cells = [0, 1, 2, 3]
-        # Crash after the header + 2 journaled cells, leaving a
-        # partial journal to resume from.
+        # Crash after the manifest + 2 published cells, leaving a
+        # partial checkpoint to resume from.
         partial = str(tmp_path / "partial")
-        engine = SweepEngine(
-            cells, runner=_square, jobs=1,
-            checkpoint=_crashing_journal(partial, fail_after=3),
-        )
+        _crash_after_writes(3)
+        engine = SweepEngine(cells, runner=_square, jobs=1,
+                             checkpoint=partial)
         with pytest.raises(SimulatedCrashError):
             engine.run()
 
@@ -223,6 +240,137 @@ class TestResumeDeterminism:
         assert snapshot["runtime.cells_resumed"] == 2
         assert snapshot["runtime.cells_completed"] == 0
         assert snapshot["runtime.retries"] == 0
+
+
+def _probability(cell):
+    return {"p": 1.0}
+
+
+def _entry_path(root, cell, runner):
+    return ResultStore(root).entry_path(cell_key(cell, runner))
+
+
+def _block_shard(root, cell, runner):
+    """Squat a file on the store shard ``cell``'s entry would go in, so
+    publishing that cell fails with an OSError."""
+    shard = os.path.dirname(_entry_path(root, cell, runner))
+    with open(shard, "w") as fh:
+        fh.write("not a directory")
+
+
+class TestCorruptCheckpoint:
+    """A checkpointed result is served on resume only after its sha256
+    verifies: a corrupt entry is quarantined and its cell recomputed,
+    and the intact entries around it are still served."""
+
+    def test_flipped_bit_is_recomputed_not_served(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        SweepEngine([0], runner=_probability, jobs=1,
+                    checkpoint=str(ckpt)).run()
+        path = _entry_path(ckpt, 0, _probability)
+        with open(path) as fh:
+            record = json.load(fh)
+        payload = bytearray(base64.b64decode(record["payload_b64"]))
+        at = payload.index(b"G" + struct.pack(">d", 1.0)) + 8
+        payload[at] ^= 1                    # one bit of the float's mantissa
+        assert pickle.loads(payload) == {"p": 1.0000000000000002}
+        record["payload_b64"] = base64.b64encode(payload).decode("ascii")
+        with open(path, "w") as fh:
+            json.dump(record, fh)
+
+        engine = SweepEngine([0], runner=_probability, jobs=1,
+                             checkpoint=str(ckpt), resume=True)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            outcomes = engine.run()
+        assert outcomes[0].result == {"p": 1.0}
+        assert not outcomes[0].resumed
+        assert len(os.listdir(ckpt / "quarantine")) == 1
+        snapshot = engine.registry.snapshot()
+        assert snapshot["runtime.store.corrupt"] == 1
+        assert snapshot["runtime.cells_completed"] == 1
+
+    def test_one_corrupt_entry_spares_the_other_five(self, tmp_path):
+        cells = list(range(6))
+        ckpt = tmp_path / "ckpt"
+        clean = SweepEngine(cells, runner=_square, jobs=1,
+                            checkpoint=str(ckpt)).run()
+        with open(_entry_path(ckpt, 0, _square), "w") as fh:
+            fh.write('{"schema": "store/v1", "key": ')   # unparseable
+
+        engine = SweepEngine(cells, runner=_square, jobs=1,
+                             checkpoint=str(ckpt), resume=True)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            resumed = engine.run()
+        assert [o.resumed for o in resumed] == [False] + [True] * 5
+        assert engine.resumed_count == 5
+        assert [o.result for o in resumed] == [o.result for o in clean]
+        # The recomputed cell was published again: all six now serve.
+        again = SweepEngine(cells, runner=_square, jobs=1,
+                            checkpoint=str(ckpt), resume=True).run()
+        assert all(o.resumed for o in again)
+
+
+class TestCheckpointContracts:
+    def test_checkpoint_without_resume_reads_nothing(self, tmp_path):
+        ckpt = str(tmp_path / "ckpt")
+        SweepEngine([1, 2], runner=_square, jobs=1, checkpoint=ckpt).run()
+        engine = SweepEngine([1, 2], runner=_square, jobs=1,
+                             checkpoint=ckpt)
+        outcomes = engine.run()
+        assert not any(o.resumed or o.reused for o in outcomes)
+        snapshot = engine.registry.snapshot()
+        assert snapshot["runtime.store.hits"] == 0
+        assert snapshot["runtime.store.misses"] == 0
+        assert snapshot["runtime.cells_completed"] == 2
+        assert snapshot["runtime.store.writes"] == 2
+
+    def test_failed_checkpoint_write_raises(self, tmp_path):
+        ckpt = tmp_path / "ckpt"
+        _block_shard(ckpt, 1, _square)
+        with pytest.raises(OSError):
+            SweepEngine([1], runner=_square, jobs=1,
+                        checkpoint=str(ckpt)).run()
+
+    def test_failed_shared_store_write_degrades(self, tmp_path):
+        store = tmp_path / "store"
+        _block_shard(store, 1, _square)
+        engine = SweepEngine([1], runner=_square, jobs=1, store=str(store))
+        with pytest.warns(RuntimeWarning, match="degraded"):
+            outcomes = engine.run()
+        assert outcomes[0].ok and outcomes[0].result == 1
+        assert engine.registry.snapshot()["runtime.store.degraded"] == 1
+
+    def test_shared_store_checkpoint_resumes_only_with_that_store(
+            self, tmp_path):
+        ckpt, store = str(tmp_path / "ckpt"), str(tmp_path / "store")
+        SweepEngine([1, 2], runner=_square, jobs=1, checkpoint=ckpt,
+                    store=store).run()
+        for other in (None, str(tmp_path / "other")):
+            with pytest.raises(CheckpointMismatchError,
+                               match=re.escape(os.path.realpath(store))):
+                SweepEngine([1, 2], runner=_square, jobs=1, checkpoint=ckpt,
+                            store=other, resume=True).run()
+        outcomes = SweepEngine([1, 2], runner=_square, jobs=1,
+                               checkpoint=ckpt, store=store,
+                               resume=True).run()
+        assert all(o.resumed for o in outcomes)
+
+    def test_store_hits_are_resumed_under_resume_else_reused(self, tmp_path):
+        ckpt, store = str(tmp_path / "ckpt"), str(tmp_path / "store")
+        cells = [1, 2, 3]
+        SweepEngine(cells, runner=_square, jobs=1, store=store).run()
+
+        def served(resume):
+            engine = SweepEngine(cells, runner=_square, jobs=1,
+                                 checkpoint=ckpt, store=store, resume=resume)
+            report = sweep_report(engine, engine.run())
+            runtime = report["runtime"]
+            return (report["salvage"]["resumed"], report["salvage"]["reused"],
+                    runtime["runtime.cells_resumed"],
+                    runtime["runtime.cells_reused"])
+
+        assert served(resume=False) == (0, 3, 0, 3)
+        assert served(resume=True) == (3, 0, 3, 0)
 
 
 class TestGracefulShutdown:

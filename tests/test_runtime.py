@@ -1,9 +1,9 @@
 """Tests for the preemption-tolerant runtime primitives
-(:mod:`repro.runtime`): crash-safe atomic writes, the checkpoint/v1
-journal, the failure taxonomy, and the retry/backoff policy."""
+(:mod:`repro.runtime`): crash-safe atomic writes, the checkpoint/v2
+manifest over the result store, the failure taxonomy, and the
+retry/backoff policy."""
 
 import json
-import os
 import signal
 
 import numpy as np
@@ -13,6 +13,7 @@ from repro.runtime import (
     CheckpointJournal,
     CheckpointMismatchError,
     FatalCellError,
+    ResultStore,
     RetryPolicy,
     SignalDrain,
     SimulatedCrashError,
@@ -133,69 +134,61 @@ def _outcome(index=0, label="cell", result=None, attempts=1):
                        attempts=attempts, wall_seconds=0.25)
 
 
+def _checkpoint(directory, fingerprint="fp", **kwargs):
+    """A checkpoint over a store rooted in its own directory."""
+    store = ResultStore(directory)
+    return store, CheckpointJournal(directory, store=store,
+                                    fingerprint=fingerprint, **kwargs)
+
+
 class TestCheckpointJournal:
     def test_record_and_resume(self, tmp_path):
-        with CheckpointJournal(tmp_path, fingerprint="fp",
-                               total_cells=2) as journal:
-            journal.record("k0", _outcome(0, "a", {"x": 1}))
-            journal.record("k1", _outcome(1, "b", {"y": 2}, attempts=3))
+        store, journal = _checkpoint(tmp_path, total_cells=2)
+        journal.record("k0", _outcome(0, "a", {"x": 1}))
+        journal.record("k1", _outcome(1, "b", {"y": 2}, attempts=3))
+        manifest = json.loads((tmp_path / "checkpoint.json").read_text())
+        assert manifest == {"schema": "checkpoint/v2", "fingerprint": "fp",
+                            "total_cells": 2, "store": None}
 
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp",
-                                    total_cells=2, resume=True)
-        assert set(resumed.completed) == {"k0", "k1"}
-        assert resumed.restore_result(resumed.completed["k0"]) == {"x": 1}
-        assert resumed.completed["k1"]["attempts"] == 3
-        resumed.close()
+        store, _ = _checkpoint(tmp_path, total_cells=2, resume=True)
+        assert store.get("k0")["result"] == {"x": 1}
+        assert store.get("k1")["attempts"] == 3
 
     def test_fingerprint_mismatch_refuses_merge(self, tmp_path):
-        CheckpointJournal(tmp_path, fingerprint="sweep-A").close()
-        with pytest.raises(CheckpointMismatchError):
-            CheckpointJournal(tmp_path, fingerprint="sweep-B", resume=True)
+        _checkpoint(tmp_path, "sweep-A")
+        with pytest.raises(CheckpointMismatchError, match="refusing to merge"):
+            _checkpoint(tmp_path, "sweep-B", resume=True)
 
-    def test_fresh_open_truncates_previous_journal(self, tmp_path):
-        with CheckpointJournal(tmp_path, fingerprint="fp") as journal:
-            journal.record("k0", _outcome())
-        journal = CheckpointJournal(tmp_path, fingerprint="fp")  # no resume
-        assert journal.completed == {}
-        journal.close()
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert resumed.completed == {}
-        resumed.close()
-
-    def test_torn_tail_is_discarded_and_truncated(self, tmp_path):
-        with CheckpointJournal(tmp_path, fingerprint="fp") as journal:
-            journal.record("k0", _outcome(0, "a", 11))
-        path = tmp_path / "journal.jsonl"
-        with open(path, "a") as fh:
-            fh.write('{"kind": "cell", "key": "k1", "ok": tr')   # power cut
-
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert set(resumed.completed) == {"k0"}
-        resumed.record("k2", _outcome(2, "c", 33))
-        resumed.close()
-        # Every surviving line parses cleanly: the torn tail was
-        # physically truncated before the new append.
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["kind"] for r in records] == ["header", "cell", "cell"]
-        assert records[-1]["key"] == "k2"
+    def test_unreadable_manifest_refuses_resume(self, tmp_path):
+        (tmp_path / "checkpoint.json").write_text('{"schema": "checkp')
+        with pytest.raises(CheckpointMismatchError, match="unreadable"):
+            _checkpoint(tmp_path, resume=True)
 
     def test_injected_crash_mid_append_is_resumable(self, tmp_path):
-        journal = CheckpointJournal(tmp_path, fingerprint="fp",
-                                    fail_after_appends=2)
+        store, journal = _checkpoint(tmp_path)
         journal.record("k0", _outcome(0, "a", 1))
+
+        def crash(at):
+            if at == "before_rename":
+                raise SimulatedCrashError(at)
+
+        set_failpoint(crash)
         with pytest.raises(SimulatedCrashError):
             journal.record("k1", _outcome(1, "b", 2))
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert set(resumed.completed) == {"k0"}
-        resumed.close()
+        set_failpoint(None)
+        store, _ = _checkpoint(tmp_path, resume=True)
+        assert store.get("k0")["result"] == 1
+        assert store.get("k1") is None
+        # The crashed publish left no temp file and no torn entry.
+        assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) \
+            == ["checkpoint.json", "k0.json"]
 
     def test_pickle_restores_exact_objects(self, tmp_path):
         result = {"nested": [1.5, {"deep": (1, 2)}], "bytes": b"\x00\xff"}
-        with CheckpointJournal(tmp_path, fingerprint="fp") as journal:
-            journal.record("k", _outcome(result=result))
-        resumed = CheckpointJournal(tmp_path, fingerprint="fp", resume=True)
-        assert resumed.restore_result(resumed.completed["k"]) == result
-        resumed.close()
+        _, journal = _checkpoint(tmp_path)
+        journal.record("k", _outcome(result=result))
+        store, _ = _checkpoint(tmp_path, resume=True)
+        assert store.get("k")["result"] == result
 
 
 class TestFailureTaxonomy:
@@ -276,22 +269,3 @@ class TestSignalDrain:
         with SignalDrain(on_signal=lambda name, n: seen.append((name, n))):
             signal.raise_signal(signal.SIGTERM)
         assert seen == [("SIGTERM", 1)]
-
-
-class TestJournalFilePermanence:
-    def test_journal_lines_parse_after_kill(self, tmp_path):
-        """Acceptance slice: every line of a journal that survived a
-        mid-append crash is complete JSON (no torn artifacts)."""
-        journal = CheckpointJournal(tmp_path, fingerprint="fp",
-                                    fail_after_appends=4)  # header counts
-        for i in range(3):
-            journal.record(f"k{i}", _outcome(i, f"c{i}", i))
-        with pytest.raises(SimulatedCrashError):
-            journal.record("k3", _outcome(3, "c3", 3))
-        lines = (tmp_path / "journal.jsonl").read_text().splitlines()
-        parsed = 0
-        for line in lines[:-1]:      # all but the torn tail must parse
-            json.loads(line)
-            parsed += 1
-        assert parsed == 4           # header + 3 cells
-        assert os.path.getsize(tmp_path / "journal.jsonl") > 0

@@ -17,7 +17,7 @@ from repro.faults import (
     run_scenario_campaign,
 )
 from repro.faults.scenarios import report_to_json
-from repro.runtime import CheckpointJournal, SimulatedCrashError
+from repro.runtime import SimulatedCrashError, set_failpoint
 
 KB = 1024
 
@@ -25,13 +25,20 @@ KB = 1024
 QUICK = dict(data_bytes=32 * KB)
 
 
-def _crashing_journal(directory, fail_after):
-    def factory(fingerprint, total_cells):
-        return CheckpointJournal(
-            directory, fingerprint=fingerprint, total_cells=total_cells,
-            resume=True, fail_after_appends=fail_after,
-        )
-    return factory
+def _crash_after_writes(writes):
+    """Arm the atomic writer to die like a power cut once ``writes``
+    writes have landed (the checkpoint manifest is the first)."""
+    landed = []
+
+    def failpoint(site):
+        if site == "before_rename":
+            if len(landed) == writes:
+                set_failpoint(None)
+                raise SimulatedCrashError(
+                    f"injected crash in atomic write #{writes + 1}")
+            landed.append(site)
+
+    set_failpoint(failpoint)
 
 
 class TestCatalog:
@@ -163,14 +170,17 @@ class TestDeterminism:
         clean = run_scenario_campaign(config, jobs=1)
 
         ckpt = str(tmp_path / "ckpt")
-        with pytest.raises(SimulatedCrashError):
-            # Crash after the header + 1 journaled cell.
-            run_scenario_campaign(
-                config, jobs=1, checkpoint=_crashing_journal(ckpt, 2)
-            )
+        # Crash after the manifest + 1 published cell.
+        _crash_after_writes(2)
+        try:
+            with pytest.raises(SimulatedCrashError):
+                run_scenario_campaign(config, jobs=1, checkpoint=ckpt)
+        finally:
+            set_failpoint(None)
         resumed = run_scenario_campaign(
             config, jobs=1, checkpoint=ckpt, resume=True
         )
+        assert resumed["salvage"]["resumed"] == 1
         # Identical modulo the runtime's resumed-cell telemetry.
         assert resumed["runs"] == clean["runs"]
         assert resumed["scenarios"] == clean["scenarios"]

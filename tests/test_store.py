@@ -71,12 +71,6 @@ class TestRoundTrip:
         assert snap["runtime.store.misses"] == 1
         assert snap["runtime.store.corrupt"] == 0
 
-    def test_restore_result_round_trips_payload(self, store):
-        key = _key(7)
-        store.put(key, _outcome(7))
-        record = store.get(key)
-        assert ResultStore.restore_result(record) == record["result"]
-
     def test_republish_is_idempotent(self, store):
         """The at-least-once contract: a second writer publishes a
         bit-identical entry over the first."""
@@ -218,6 +212,17 @@ class TestDegradedModes:
                      if k[:2] != key[:2])
         assert store.put(other, _outcome()) is True
         assert store.get(other) is not None
+
+    def test_strict_put_raises_instead_of_degrading(self, store):
+        """A checkpoint's publish must not be dropped silently."""
+        key = _key()
+        shard_dir = os.path.dirname(store.entry_path(key))
+        os.makedirs(os.path.dirname(shard_dir), exist_ok=True)
+        with open(shard_dir, "w") as fh:
+            fh.write("file squatting on the shard directory")
+        with pytest.raises(OSError):
+            store.put(key, _outcome(), strict=True)
+        assert _snapshot(store)["runtime.store.degraded"] == 0
 
     def test_degrade_warns_once(self, tmp_path):
         blocker = tmp_path / "blocker"
