@@ -4,8 +4,12 @@ Figure 11 rests on the moment estimator (per-block uncorrectability
 probabilities x layout arithmetic).  This bench re-derives UDR the hard
 way — mapping each fault trial's actual uncorrectable block addresses
 through a real AddressMap laid out on the DIMM, clone-survival decided
-node by node — and checks the two agree.  They share no code path, so
-agreement validates the whole reliability pipeline.
+node by node — and checks the two agree.  They share the fault
+encoding and the ECC evaluator, both pinned by
+tests/fixtures/mc_replay.json.  Everything else is independent: a
+sequential numpy sampler vs the counter RNG, explicit block marking vs
+inclusion-exclusion, and a walk of a real AddressMap vs the moment
+formula — so agreement validates the rest of the reliability pipeline.
 """
 
 from repro.analysis import compute_udr, scheme_depths
@@ -59,7 +63,8 @@ def test_validation_mc_vs_analytic(benchmark):
     # Per-block probability: agreement despite heavy-tailed per-trial
     # loss (rare whole-rank events carry most of the mass).
     assert 0.3 < mc.l_error_fraction / moments.p_block_due < 3.0
-    # Baseline UDR: same order of magnitude, completely separate paths.
+    # Baseline UDR: same order of magnitude, independent sampling,
+    # union and layout arithmetic.
     assert 0.2 < mc.udr / analytic.udr < 5.0
     # Placement finding: with the clone region laid out *contiguously
     # on the same DIMM*, large-extent faults (bank/rank overlaps, which

@@ -8,6 +8,15 @@ a real :class:`~repro.memory.AddressMap` laid out across the DIMM, and
 applies the clone-survival rule node by node — no independence or
 uniformity assumptions at all.
 
+What it shares with the moment estimator is the fault encoding and the
+ECC evaluator (:func:`repro.faults.mc.due_regions` asks the same
+``_candidates`` the batched engine does), both pinned by
+``tests/fixtures/mc_replay.json``.  What stays independent is the rest
+of the pipeline: a sequential numpy sampler instead of the counter
+RNG, explicit block marking instead of inclusion-exclusion, and a walk
+of a real :class:`~repro.memory.AddressMap` instead of the moment
+formula.
+
 It is slower and cannot resolve probabilities far below 1/trials, so
 use it to validate the analytic pipeline at high FIT (see
 ``tests/test_udr_mc.py``), not to regenerate Figure 11's deep tails.
@@ -22,8 +31,6 @@ import numpy as np
 
 from repro.constants import CACHELINE_BYTES
 from repro.faults import mc
-from repro.faults.ecc import make_ecc
-from repro.faults.fault_model import sample_fault
 from repro.faults.faultsim import FaultSimulator
 from repro.memory import AddressMap
 
@@ -33,44 +40,36 @@ from repro.memory import AddressMap
 ENUMERATION_CAP = 4_000_000
 
 
-def extent_block_indices(extent, geometry, rank: int) -> np.ndarray:
-    """All block indices an extent covers in ``rank``, vectorized."""
-    return extent_hits_in_range(
-        extent, geometry, rank, 0, geometry.total_blocks
-    )
-
-
-def extent_hits_in_range(extent, geometry, rank: int, lo: int, hi: int) -> np.ndarray:
-    """Block indices of ``extent`` that fall inside [lo, hi), sorted.
+def region_hits_in_range(region, geometry, lo: int, hi: int) -> np.ndarray:
+    """Block indices of one ``(rank, bank_mask, row, group)`` region
+    that fall inside [lo, hi), ascending.
 
     Enumerates only the banks/rows that can intersect the range, so
-    scoring the (small) metadata region of a giant extent costs
-    proportionally to the *region*, not the extent.
+    scoring the (small) metadata region of a giant region costs
+    proportionally to the *range*, not the region.  Banks, rows and
+    groups are walked in ascending order, so the output is sorted by
+    construction.
     """
+    rank, mask, row, group = region
     per_bank = geometry.rows * geometry.blocks_per_row
     base = rank * geometry.blocks_per_rank
     if hi <= base or lo >= base + geometry.blocks_per_rank:
         return np.empty(0, dtype=np.int64)
-    banks = (
-        np.fromiter(sorted(extent.banks), dtype=np.int64)
-        if extent.banks is not None
-        else np.arange(geometry.banks, dtype=np.int64)
-    )
     rows = (
-        np.fromiter(sorted(extent.rows), dtype=np.int64)
-        if extent.rows is not None
-        else np.arange(geometry.rows, dtype=np.int64)
+        np.arange(geometry.rows, dtype=np.int64)
+        if row == -1
+        else np.array([row], dtype=np.int64)
     )
     groups = (
-        np.fromiter(sorted(extent.groups), dtype=np.int64)
-        if extent.groups is not None
-        else np.arange(geometry.blocks_per_row, dtype=np.int64)
+        np.arange(geometry.blocks_per_row, dtype=np.int64)
+        if group == -1
+        else np.array([group], dtype=np.int64)
     )
     bpr = geometry.blocks_per_row
     pieces = []
-    for bank in banks:
-        bank_base = base + int(bank) * per_bank
-        if hi <= bank_base or lo >= bank_base + per_bank:
+    for bank in range(geometry.banks):
+        bank_base = base + bank * per_bank
+        if not mask >> bank & 1 or hi <= bank_base or lo >= bank_base + per_bank:
             continue
         # Rows that can produce indices in [lo, hi) for this bank.
         row_lo = max(0, (lo - bank_base - (bpr - 1)) // bpr)
@@ -82,9 +81,7 @@ def extent_hits_in_range(extent, geometry, rank: int, lo: int, hi: int) -> np.nd
         pieces.append(grid[(grid >= lo) & (grid < hi)])
     if not pieces:
         return np.empty(0, dtype=np.int64)
-    out = np.concatenate(pieces)
-    out.sort()
-    return out
+    return np.concatenate(pieces)
 
 
 @dataclass
@@ -221,12 +218,10 @@ def _sample_faults(config, k: int, rng) -> list:
     """k independent fault arrivals with Hopper-distributed modes."""
     classes = list(config.relative_rates)
     weights = np.array([config.relative_rates[c] for c in classes])
-    faults = []
-    for class_index in rng.choice(len(classes), size=k, p=weights):
-        faults.extend(
-            sample_fault(classes[int(class_index)], config.geometry, rng)
-        )
-    return faults
+    return [
+        mc.draw_fault(classes[int(class_index)], config.geometry, rng)
+        for class_index in rng.choice(len(classes), size=k, p=weights)
+    ]
 
 
 def monte_carlo_udr(
@@ -249,8 +244,9 @@ def monte_carlo_udr(
     """
     config = simulator.config
     geometry = config.geometry
-    ecc = make_ecc(config.repair)
     amap = build_dimm_map(geometry, clone_depths=clone_depths)
+    meta_lo = amap.num_data_blocks
+    meta_hi = amap.total_bytes // CACHELINE_BYTES
     rng = np.random.default_rng(rng_seed)
     mean = config.expected_faults_per_dimm()
 
@@ -272,52 +268,36 @@ def monte_carlo_udr(
         while scored < due_events_per_k and attempts < max_attempts_per_k:
             attempts += 1
             faults = _sample_faults(config, k, rng)
-            regions = ecc.uncorrectable_regions(faults, geometry)
+            regions = mc.due_regions(faults, config.repair, geometry)
             if not regions:
                 continue
             scored += 1
             trials_with_due += 1
             # Metadata range: scored exactly (it is small, ~5% of the
             # device, so even a whole-rank fault enumerates cheaply).
-            meta_lo = amap.num_data_blocks
-            meta_hi = amap.total_bytes // CACHELINE_BYTES
-            meta_arrays = [
-                extent_hits_in_range(
-                    region.extent, geometry, region.rank, meta_lo, meta_hi
-                )
-                for region in regions
-            ]
-            meta_arrays = [a for a in meta_arrays if len(a)]
-            if len(meta_arrays) == 1:
-                meta_blocks = meta_arrays[0]
-            elif meta_arrays:
-                meta_blocks = np.unique(np.concatenate(meta_arrays))
-            else:
-                meta_blocks = np.empty(0, dtype=np.int64)
+            # Regions overlap, so their hits are merged by marking a
+            # boolean array, linear in the hits, rather than by sorting.
+            meta_marks = np.zeros(meta_hi - meta_lo, dtype=bool)
+            for region in regions:
+                hits = region_hits_in_range(region, geometry, meta_lo, meta_hi)
+                meta_marks[hits - meta_lo] = True
+            meta_blocks = np.flatnonzero(meta_marks) + meta_lo
 
             # Data range: only the count matters (L_error); cap the
             # enumeration — truncation can only bias L_error, which is
             # also pinned analytically.
-            data_arrays = []
+            data_marks = np.zeros(meta_lo, dtype=bool)
             budget = ENUMERATION_CAP
             for region in regions:
-                hits = extent_hits_in_range(
-                    region.extent, geometry, region.rank, 0, meta_lo
-                )
+                hits = region_hits_in_range(region, geometry, 0, meta_lo)
                 if len(hits) > budget:
                     hits = hits[:budget]
                     truncated += 1
                 budget -= len(hits)
-                if len(hits):
-                    data_arrays.append(hits)
+                data_marks[hits] = True
                 if budget <= 0:
                     break
-            if len(data_arrays) == 1:
-                data_hits = len(data_arrays[0])
-            elif data_arrays:
-                data_hits = len(np.unique(np.concatenate(data_arrays)))
-            else:
-                data_hits = 0
+            data_hits = int(np.count_nonzero(data_marks))
 
             unverifiable, counts = _unverifiable_bytes(amap, meta_blocks)
             if data_hits:

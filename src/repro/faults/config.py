@@ -39,7 +39,7 @@ class FaultSimConfig:
     )
     years: float = 5.0
     trials: int = 100_000
-    repair: str = "chipkill"       # or "secded"
+    repair: str = "chipkill"       # or "chipkill2", "secded", "none"
     seed: int = 2021
 
     def __post_init__(self):

@@ -16,11 +16,13 @@ Two injection modes:
   blocks than a ``bit`` fault); the *rate* of events is the caller's
   choice, because live campaigns study the system's response to DUEs,
   not their (separately analyzed) arrival probability.
-* ``"ecc"`` — faults accumulate exactly as in the offline simulator and
-  only the ECC model's *uncorrectable* regions poison blocks.  Under
-  Chipkill the first faults are correctable, so early events defer and
-  damage appears once faults overlap — arbitrary-time failures in the
-  Triad-NVM/Phoenix sense.
+* ``"ecc"`` — faults accumulate in the offline simulator's integer
+  encoding, and the offline simulator's own ECC evaluator
+  (:func:`repro.faults.mc.due_regions`) decides which regions are
+  *uncorrectable*; only those poison blocks.  Under Chipkill the first
+  faults are correctable, so early events defer and damage appears
+  once faults overlap — arbitrary-time failures in the Triad-NVM/
+  Phoenix sense.
 
 Everything is driven by one seeded generator, so a campaign replays
 bit-identically under a fixed seed.
@@ -33,8 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.faults.config import FaultSimConfig
-from repro.faults.ecc import make_ecc
-from repro.faults.fault_model import sample_fault
+from repro.faults.mc import draw_fault, due_regions, region_blocks
 
 #: Layout regions that can be targeted by name.
 INJECTION_TARGETS = (
@@ -228,7 +229,6 @@ class FaultInjector:
         self.scramble = scramble
         self.max_blocks_per_fault = max_blocks_per_fault
         self._rng = np.random.default_rng(seed)
-        self._ecc = make_ecc(self.config.repair)
         self._accumulated_faults: list = []
         self._known_due_blocks: set = set()
 
@@ -346,16 +346,16 @@ class FaultInjector:
 
     def _ecc_addresses(self, event: InjectionEvent) -> list:
         geometry = self.config.geometry
-        self._accumulated_faults.extend(
-            sample_fault(event.fault_class, geometry, self._rng)
+        self._accumulated_faults.append(
+            draw_fault(event.fault_class, geometry, self._rng)
         )
-        regions = self._ecc.uncorrectable_regions(
-            self._accumulated_faults, geometry
+        regions = due_regions(
+            self._accumulated_faults, self.config.repair, geometry
         )
         new_blocks = []
         for region in regions:
-            for block in region.extent.blocks(
-                geometry, region.rank, limit=self.max_blocks_per_fault * 4
+            for block in region_blocks(
+                region, geometry, limit=self.max_blocks_per_fault * 4
             ):
                 if block not in self._known_due_blocks:
                     self._known_due_blocks.add(block)

@@ -15,10 +15,13 @@ fall out by construction.
 correctability is evaluated with array arithmetic (bank-set meets are
 ``AND`` on uint64 masks, row/group meets use ``-1`` = *all* and ``-2`` =
 *empty* sentinels).  A trial reduces to per-rank unique DUE block
-counts.  The engine was proven bit-identical to a scalar reference (the
-original :class:`~repro.faults.fault_model.Fault` objects and
-:mod:`repro.faults.ecc` model) before that reference was retired; its
-behavior is pinned by the replay fixture ``repro mc-diff`` checks.
+counts.  The engine was proven bit-identical to a scalar reference (an
+object model of faults, extents and ECC classes) before that reference
+was deleted; its behavior is pinned by the replay fixture ``repro
+mc-diff`` checks.  :func:`_candidates` is the only ECC evaluator: the
+one-trial entry points (:func:`draw_fault`, :func:`due_regions`,
+:func:`region_blocks`) serve the live :class:`FaultInjector` and the
+layout-level ``monte_carlo_udr`` from it too.
 
 **Streaming sufficient statistics.**  Campaign batches emit exact
 per-batch sums (:class:`~repro.faults.streaming.McBatchStat`); the
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -146,6 +149,9 @@ def _unit_float_array(raw: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # batched fault sampling
 # ---------------------------------------------------------------------------
+
+#: Device fault modes (Hopper), smallest to largest.
+FAULT_CLASSES = ("bit", "word", "column", "row", "bank", "nbank", "nrank")
 
 # spatial structure per fault class: which coordinates pin to one value
 _HAS_ROW = ("bit", "word", "row")
@@ -359,10 +365,13 @@ def _meet_coord(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _candidates(batch: FaultBatch, repair: str):
     """Enumerate candidate DUE regions as (n, C) arrays.
 
-    Each candidate mirrors exactly one term of the object ECC model's
-    enumeration (single faults and/or slot combinations), so for every
-    trial the multiset of valid candidates per rank equals the multiset
-    of ``DueRegion``s :mod:`repro.faults.ecc` produces.
+    This is the one ECC evaluator.  Each candidate is one single fault
+    or one combination of fault slots: Chipkill-c needs c+1 faults of
+    distinct chips in one rank to overlap; SECDED fails on any
+    multi-bit fault alone and on two single-bit faults of distinct
+    chips in one cell; no ECC fails on every fault.  It reproduced the
+    deleted object ECC model's regions on every trial it was checked
+    on, and the replay fixture pins it.
     """
     k = batch.k
     n = batch.trials
@@ -550,6 +559,133 @@ def evaluate_batch(
             )
 
     return per_rank.sum(axis=1), per_rank
+
+
+# ---------------------------------------------------------------------------
+# one-trial entry points (live injection, layout-level cross-check)
+# ---------------------------------------------------------------------------
+
+def draw_fault(fault_class: str, geometry, rng) -> tuple:
+    """One fault of ``fault_class`` drawn from a numpy ``Generator``.
+
+    Returns ``(class, rank, chip, bank_mask, row, group)`` in the
+    integer encoding (``row``/``group`` -1 = all).  Every class makes
+    the same draws in the same order — rank, chip, bank, row, group,
+    then the nbank subset — so a seeded stream replays exactly.  An
+    nrank fault is a whole chip: a chip serves one rank, and Chipkill
+    corrects it alone until it overlaps another chip's fault.
+    """
+    if fault_class not in FAULT_CLASSES:
+        raise ValueError(f"unknown fault class {fault_class!r}")
+    rank = int(rng.integers(0, geometry.ranks))
+    chip = int(rng.choice(geometry.chip_ids_of_rank(rank)))
+    bank = int(rng.integers(0, geometry.banks))
+    row = int(rng.integers(0, geometry.rows))
+    group = int(rng.integers(0, geometry.blocks_per_row))
+    if fault_class == "nbank":
+        count = int(rng.integers(2, geometry.banks + 1))
+        banks = rng.choice(geometry.banks, size=count, replace=False)
+        mask = sum(1 << int(b) for b in banks)
+    elif fault_class in _SINGLE_BANK:
+        mask = 1 << bank
+    else:
+        mask = (1 << geometry.banks) - 1
+    row = row if fault_class in _HAS_ROW else -1
+    group = group if fault_class in _HAS_GROUP else -1
+    return (fault_class, rank, chip, mask, row, group)
+
+
+def _slot_groups(k: int, repair: str) -> list:
+    """The groups of fault slots of a k-fault trial that can fail
+    together: single faults under SECDED and no ECC, pairs under SECDED
+    and Chipkill, triples under double-Chipkill."""
+    singles = [(j,) for j in range(k)]
+    if repair == "none":
+        return singles
+    if repair == "secded":
+        return singles + list(combinations(range(k), 2))
+    if repair in ("chipkill", "chipkill2"):
+        return list(combinations(range(k), 2 if repair == "chipkill" else 3))
+    raise ValueError(f"unknown ECC scheme {repair!r}")
+
+
+def _slot_batch(faults, slot_groups) -> FaultBatch:
+    """A :class:`FaultBatch` whose row i holds the faults of
+    ``slot_groups[i]`` (equal-length tuples of indices into ``faults``)."""
+    classes, rank, chip, mask, row, group = zip(*faults)
+    index = np.array(slot_groups, dtype=np.intp)
+    class_index = [FAULT_CLASSES.index(c) for c in classes]
+    return FaultBatch(
+        k=index.shape[1],
+        start_trial=0,
+        classes=FAULT_CLASSES,
+        class_index=np.array(class_index, dtype=np.int16)[index],
+        rank=np.array(rank, dtype=np.int16)[index],
+        chip=np.array(chip, dtype=np.int32)[index],
+        bank_mask=np.array(mask, dtype=np.uint64)[index],
+        row=np.array(row, dtype=np.int32)[index],
+        group=np.array(group, dtype=np.int32)[index],
+        multibit=np.array([c != "bit" for c in classes])[index],
+        weight=np.ones(len(index)),
+    )
+
+
+def due_regions(faults, repair: str, geometry) -> list:
+    """Uncorrectable ``(rank, bank_mask, row, group)`` regions of one
+    trial's :func:`draw_fault` faults, as :func:`_candidates` decides.
+
+    Every group of fault slots that can fail together is one row of a
+    :class:`FaultBatch` whose ``k`` is the group's size, so one
+    vectorized :func:`_candidates` pass decides them all: a row's own
+    candidate is the last column it emits.  (A one-row batch of the
+    whole trial would make ``_candidates`` loop in Python over every
+    slot combination, and live injection re-evaluates the trial at
+    every event as faults accumulate.)
+
+    Order: under ``none`` by arrival; otherwise by rank, then SECDED's
+    single multi-bit faults by arrival, then multi-chip overlaps by
+    their chips ascending (for the same chips, by arrival).  Live
+    injection enumerates regions in this order under a block budget, so
+    it decides which blocks a trial poisons.
+    """
+    if geometry.banks > 64:
+        raise ValueError("bank bitsets support at most 64 banks")
+    slot_groups = _slot_groups(len(faults), repair)
+    keyed = []
+    for size in {len(slots) for slots in slot_groups}:
+        sized = [slots for slots in slot_groups if len(slots) == size]
+        candidates = _candidates(_slot_batch(faults, sized), repair)
+        masks, rows, groups, ranks, valid = (c[:, -1] for c in candidates)
+        for i in np.flatnonzero(valid):
+            slots, rank = sized[i], int(ranks[i])
+            if repair == "none":
+                key = slots
+            elif size == 1:
+                key = (rank, 0, (), slots)
+            else:
+                by_chip = tuple(sorted(slots, key=lambda j: faults[j][2]))
+                key = (rank, 1, tuple(faults[j][2] for j in by_chip), by_chip)
+            region = (rank, int(masks[i]), int(rows[i]), int(groups[i]))
+            keyed.append((key, region))
+    keyed.sort(key=lambda item: item[0])
+    return [region for _, region in keyed]
+
+
+def region_blocks(region, geometry, limit: Optional[int] = None):
+    """Absolute block indices of one ``(rank, bank_mask, row, group)``
+    region, ascending (bank, then row, then group), at most ``limit``."""
+    rank, mask, row, group = region
+    banks = [b for b in range(geometry.banks) if mask >> b & 1]
+    rows = range(geometry.rows) if row == -1 else (row,)
+    groups = range(geometry.blocks_per_row) if group == -1 else (group,)
+    first = rank * geometry.blocks_per_rank
+    blocks = (
+        first + (bank * geometry.rows + r) * geometry.blocks_per_row + g
+        for bank in banks
+        for r in rows
+        for g in groups
+    )
+    return islice(blocks, limit)
 
 
 # ---------------------------------------------------------------------------

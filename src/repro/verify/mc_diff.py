@@ -2,9 +2,11 @@
 
 The vectorized Monte-Carlo core (:mod:`repro.faults.mc`) was developed
 as a bit-identical replacement for a scalar reference engine (the same
-counter-based RNG driving the original
-:class:`~repro.faults.fault_model.Fault` objects, ECC model and
-inclusion-exclusion union).  The committed replay fixture
+counter-based RNG driving an object model of faults, ECC classes and
+inclusion-exclusion union).  That engine and its object model are
+deleted; ``mc._candidates`` is the one ECC evaluator left, and the
+live fault injector and ``monte_carlo_udr`` use it too.  The committed
+replay fixture
 (``tests/fixtures/mc_replay.json``, schema ``mc_replay/v1``) was
 recorded by the live vector-vs-scalar prover with every case
 identical; it is the contract the core is held to, layer by layer, so

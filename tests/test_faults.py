@@ -1,243 +1,249 @@
-"""Tests for the fault model, ECC models, and Monte Carlo simulator."""
+"""Tests for the fault encoding, the ECC evaluator, and the Monte Carlo
+simulator.
+
+Faults and regions use the integer encoding of :mod:`repro.faults.mc`:
+a fault is ``(class, rank, chip, bank_mask, row, group)`` and a DUE
+region ``(rank, bank_mask, row, group)``, with ``-1`` = all rows or
+groups.
+"""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from repro.faults import (
     FAULT_CLASSES,
-    ChipkillCorrect,
-    Extent,
-    Fault,
     FaultSimConfig,
     FaultSimulator,
-    NoEcc,
-    SecDed,
-    make_ecc,
+    mc,
     mtbf_hours,
-    sample_fault,
 )
 from repro.memory import DimmGeometry
 from tests.test_mc_properties import union_block_count
 
 GEO = DimmGeometry()
+ALL_BANKS = (1 << GEO.banks) - 1
 
 
-def extent(bank=None, row=None, group=None):
-    return Extent(
-        banks=None if bank is None else frozenset([bank]),
-        rows=None if row is None else frozenset([row]),
-        groups=None if group is None else frozenset([group]),
-    )
+def fault(fault_class, chip, rank, bank=None, row=-1, group=-1):
+    """One encoded fault; ``bank=None`` covers every bank."""
+    mask = ALL_BANKS if bank is None else 1 << bank
+    return (fault_class, rank, chip, mask, row, group)
+
+
+def region(rank=0, bank=None, row=-1, group=-1):
+    """One encoded region; ``bank=None`` covers every bank."""
+    return (rank, ALL_BANKS if bank is None else 1 << bank, row, group)
+
+
+def block_count(region):
+    _, mask, row, group = region
+    return mc._region_blocks(mask, row, group, GEO)
 
 
 class TestExtent:
     def test_intersect_disjoint_is_empty(self):
-        a = extent(bank=0)
-        b = extent(bank=1)
-        assert a.intersect(b).is_empty()
+        # Overlapping chips in one bank, but disjoint rows (or groups):
+        # the meet is empty, so there is nothing to lose.
+        rows = [fault("row", 0, 0, bank=3, row=1),
+                fault("row", 1, 0, bank=3, row=2)]
+        groups = [fault("column", 0, 0, bank=3, group=1),
+                  fault("column", 1, 0, bank=3, group=2)]
+        assert mc.due_regions(rows, "chipkill", GEO) == []
+        assert mc.due_regions(groups, "chipkill", GEO) == []
 
     def test_intersect_with_all(self):
-        a = extent(bank=2, row=5)
-        b = Extent()  # everything
-        meet = a.intersect(b)
-        assert meet.banks == frozenset([2])
-        assert meet.rows == frozenset([5])
-        assert meet.groups is None
+        # A whole-chip fault meets a row fault in the row fault's cells.
+        faults = [fault("row", 0, 0, bank=2, row=5), fault("nrank", 1, 0)]
+        assert mc.due_regions(faults, "chipkill", GEO) == [
+            region(bank=2, row=5)
+        ]
 
     def test_block_count(self):
-        assert extent(bank=0, row=0, group=0).block_count(GEO) == 1
-        assert extent(bank=0, row=0).block_count(GEO) == GEO.blocks_per_row
-        assert extent(bank=0).block_count(GEO) == GEO.rows * GEO.blocks_per_row
-        assert Extent().block_count(GEO) == GEO.blocks_per_rank
+        assert block_count(region(bank=0, row=0, group=0)) == 1
+        assert block_count(region(bank=0, row=0)) == GEO.blocks_per_row
+        assert block_count(region(bank=0)) == GEO.rows * GEO.blocks_per_row
+        assert block_count(region()) == GEO.blocks_per_rank
 
     def test_blocks_enumeration(self):
-        blocks = list(extent(bank=1, row=2, group=3).blocks(GEO, rank=0))
-        assert len(blocks) == 1
+        blocks = list(mc.region_blocks(region(bank=1, row=2, group=3), GEO))
         per_bank = GEO.rows * GEO.blocks_per_row
-        assert blocks[0] == 1 * per_bank + 2 * GEO.blocks_per_row + 3
+        assert blocks == [1 * per_bank + 2 * GEO.blocks_per_row + 3]
+        # Ascending: bank, then row, then group.
+        two_banks = (0, 0b101, -1, 7)
+        blocks = list(mc.region_blocks(two_banks, GEO))
+        assert blocks == sorted(blocks)
+        assert len(blocks) == 2 * GEO.rows
+        assert blocks[GEO.rows] == 2 * per_bank + 7
 
     def test_blocks_respect_rank_offset(self):
-        b0 = next(extent(bank=0, row=0, group=0).blocks(GEO, rank=0))
-        b1 = next(extent(bank=0, row=0, group=0).blocks(GEO, rank=1))
+        b0 = next(mc.region_blocks(region(0, bank=0, row=0, group=0), GEO))
+        b1 = next(mc.region_blocks(region(1, bank=0, row=0, group=0), GEO))
         assert b1 - b0 == GEO.blocks_per_rank
 
     def test_blocks_limit(self):
-        blocks = list(extent(bank=0).blocks(GEO, rank=0, limit=10))
-        assert len(blocks) == 10
+        blocks = list(mc.region_blocks(region(bank=0), GEO, limit=10))
+        assert blocks == list(range(10))
 
 
 class TestSampleFault:
     @pytest.mark.parametrize("fault_class", FAULT_CLASSES)
     def test_all_classes_sample(self, fault_class):
         rng = np.random.default_rng(1)
-        faults = sample_fault(fault_class, GEO, rng)
-        assert faults
-        for fault in faults:
-            assert fault.fault_class == fault_class
-            assert fault.chip in GEO.chip_ids_of_rank(fault.rank)
+        cls, rank, chip, mask, _, _ = mc.draw_fault(fault_class, GEO, rng)
+        assert cls == fault_class
+        assert chip in GEO.chip_ids_of_rank(rank)
+        assert 0 < mask <= ALL_BANKS
 
     def test_bit_fault_is_single_block(self):
         rng = np.random.default_rng(2)
-        (fault,) = sample_fault("bit", GEO, rng)
-        assert fault.extent.block_count(GEO) == 1
-        assert not fault.multibit
+        _, rank, _, mask, row, group = mc.draw_fault("bit", GEO, rng)
+        assert block_count((rank, mask, row, group)) == 1
 
     def test_bank_fault_covers_whole_bank(self):
         rng = np.random.default_rng(3)
-        (fault,) = sample_fault("bank", GEO, rng)
-        assert fault.extent.block_count(GEO) == GEO.rows * GEO.blocks_per_row
+        _, rank, _, mask, row, group = mc.draw_fault("bank", GEO, rng)
+        assert mask.bit_count() == 1
+        assert block_count((rank, mask, row, group)) == (
+            GEO.rows * GEO.blocks_per_row
+        )
 
     def test_nrank_is_whole_chip(self):
         rng = np.random.default_rng(4)
-        (fault,) = sample_fault("nrank", GEO, rng)
-        assert fault.extent.block_count(GEO) == GEO.blocks_per_rank
+        _, rank, _, mask, row, group = mc.draw_fault("nrank", GEO, rng)
+        assert block_count((rank, mask, row, group)) == GEO.blocks_per_rank
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ValueError):
-            sample_fault("meteor", GEO, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            Fault("meteor", 0, 0, Extent())
+        with pytest.raises(ValueError, match="unknown fault class"):
+            mc.draw_fault("meteor", GEO, np.random.default_rng(0))
+
+    def test_more_than_64_banks_rejected(self):
+        # The uint64 bank bitset cannot hold more than 64 banks.
+        wide = DimmGeometry(chips=8, chips_per_rank=4, ranks=2, banks=65,
+                            rows=4, cols=256)
+        faults = [mc.draw_fault("bank", wide, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match="at most 64 banks"):
+            mc.due_regions(faults, "chipkill", wide)
 
 
 class TestChipkill:
     def test_single_chip_fault_fully_corrected(self):
-        ecc = ChipkillCorrect()
-        faults = [Fault("bank", chip=0, rank=0, extent=extent(bank=0), multibit=True)]
-        assert ecc.uncorrectable_regions(faults, GEO) == []
+        faults = [fault("bank", chip=0, rank=0, bank=0)]
+        assert mc.due_regions(faults, "chipkill", GEO) == []
 
     def test_two_chips_overlapping_is_due(self):
-        ecc = ChipkillCorrect()
         faults = [
-            Fault("bank", 0, 0, extent(bank=3), True),
-            Fault("row", 1, 0, extent(bank=3, row=7), True),
+            fault("bank", 0, 0, bank=3),
+            fault("row", 1, 0, bank=3, row=7),
         ]
-        regions = ecc.uncorrectable_regions(faults, GEO)
-        assert len(regions) == 1
-        assert regions[0].block_count(GEO) == GEO.blocks_per_row
+        regions = mc.due_regions(faults, "chipkill", GEO)
+        assert regions == [region(bank=3, row=7)]
+        assert block_count(regions[0]) == GEO.blocks_per_row
 
     def test_two_chips_disjoint_banks_corrected(self):
-        ecc = ChipkillCorrect()
         faults = [
-            Fault("bank", 0, 0, extent(bank=3), True),
-            Fault("bank", 1, 0, extent(bank=4), True),
+            fault("bank", 0, 0, bank=3),
+            fault("bank", 1, 0, bank=4),
         ]
-        assert ecc.uncorrectable_regions(faults, GEO) == []
+        assert mc.due_regions(faults, "chipkill", GEO) == []
 
     def test_different_ranks_never_interact(self):
-        ecc = ChipkillCorrect()
         faults = [
-            Fault("bank", 0, 0, extent(bank=3), True),
-            Fault("bank", 9, 1, extent(bank=3), True),
+            fault("bank", 0, 0, bank=3),
+            fault("bank", 9, 1, bank=3),
         ]
-        assert ecc.uncorrectable_regions(faults, GEO) == []
+        assert mc.due_regions(faults, "chipkill", GEO) == []
 
     def test_same_chip_twice_corrected(self):
-        ecc = ChipkillCorrect()
         faults = [
-            Fault("bank", 0, 0, extent(bank=3), True),
-            Fault("row", 0, 0, extent(bank=3, row=1), True),
+            fault("bank", 0, 0, bank=3),
+            fault("row", 0, 0, bank=3, row=1),
         ]
-        assert ecc.uncorrectable_regions(faults, GEO) == []
+        assert mc.due_regions(faults, "chipkill", GEO) == []
 
 
 class TestSecDed:
     def test_multibit_fault_is_due_alone(self):
-        ecc = SecDed()
-        faults = [Fault("row", 0, 0, extent(bank=0, row=0), True)]
-        regions = ecc.uncorrectable_regions(faults, GEO)
-        assert len(regions) == 1
+        faults = [fault("row", 0, 0, bank=0, row=0)]
+        assert mc.due_regions(faults, "secded", GEO) == [
+            region(bank=0, row=0)
+        ]
 
     def test_single_bit_fault_corrected(self):
-        ecc = SecDed()
-        faults = [Fault("bit", 0, 0, extent(bank=0, row=0, group=0), False)]
-        assert ecc.uncorrectable_regions(faults, GEO) == []
+        faults = [fault("bit", 0, 0, bank=0, row=0, group=0)]
+        assert mc.due_regions(faults, "secded", GEO) == []
 
     def test_two_bit_faults_same_cell_due(self):
-        ecc = SecDed()
-        cell = extent(bank=0, row=0, group=0)
         faults = [
-            Fault("bit", 0, 0, cell, False),
-            Fault("bit", 1, 0, cell, False),
+            fault("bit", 0, 0, bank=0, row=0, group=0),
+            fault("bit", 1, 0, bank=0, row=0, group=0),
         ]
-        assert len(ecc.uncorrectable_regions(faults, GEO)) == 1
+        assert len(mc.due_regions(faults, "secded", GEO)) == 1
 
     def test_chipkill_strictly_stronger(self):
         """Every SECDED-correctable pattern is Chipkill-correctable."""
         rng = np.random.default_rng(11)
-        chipkill, secded = ChipkillCorrect(), SecDed()
         for _ in range(50):
-            faults = []
-            for _ in range(int(rng.integers(1, 4))):
-                cls = FAULT_CLASSES[int(rng.integers(0, len(FAULT_CLASSES)))]
-                faults.extend(sample_fault(cls, GEO, rng))
-            ck = sum(r.block_count(GEO) for r in chipkill.uncorrectable_regions(faults, GEO))
-            sd = sum(r.block_count(GEO) for r in secded.uncorrectable_regions(faults, GEO))
+            faults = [
+                mc.draw_fault(
+                    FAULT_CLASSES[int(rng.integers(0, len(FAULT_CLASSES)))],
+                    GEO, rng,
+                )
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            ck = sum(map(block_count, mc.due_regions(faults, "chipkill", GEO)))
+            sd = sum(map(block_count, mc.due_regions(faults, "secded", GEO)))
             assert ck <= sd
 
 
 class TestUnionCount:
     def test_disjoint_regions_sum(self):
-        from repro.faults import DueRegion
-
         regions = [
-            DueRegion(0, extent(bank=0, row=0, group=0)),
-            DueRegion(0, extent(bank=1, row=0, group=0)),
+            region(bank=0, row=0, group=0),
+            region(bank=1, row=0, group=0),
         ]
         assert union_block_count(regions, GEO) == 2
 
     def test_overlapping_regions_deduplicated(self):
-        from repro.faults import DueRegion
-
-        regions = [
-            DueRegion(0, extent(bank=0, row=0)),
-            DueRegion(0, extent(bank=0, row=0)),  # identical
-        ]
+        regions = [region(bank=0, row=0), region(bank=0, row=0)]
         assert union_block_count(regions, GEO) == GEO.blocks_per_row
 
     def test_partial_overlap(self):
-        from repro.faults import DueRegion
-
         regions = [
-            DueRegion(0, extent(bank=0, row=0)),         # one row: 64 blocks
-            DueRegion(0, extent(bank=0, group=0)),       # one group col: 16384
+            region(bank=0, row=0),        # one row: 64 blocks
+            region(bank=0, group=0),      # one group column: 16384
         ]
         expected = GEO.blocks_per_row + GEO.rows - 1
         assert union_block_count(regions, GEO) == expected
 
     def test_regions_in_different_ranks_independent(self):
-        from repro.faults import DueRegion
-
-        regions = [
-            DueRegion(0, extent(bank=0, row=0)),
-            DueRegion(1, extent(bank=0, row=0)),
-        ]
+        regions = [region(0, bank=0, row=0), region(1, bank=0, row=0)]
         assert union_block_count(regions, GEO) == 2 * GEO.blocks_per_row
 
     def test_additive_fallback_warns_and_reports(self):
-        import warnings
-
-        from repro.faults import DueRegion
-
         # 15 single-row regions in one rank: above the inclusion-
-        # exclusion cutoff, so the additive upper bound substitutes.
-        regions = [
-            DueRegion(0, extent(bank=0, row=r)) for r in range(15)
-        ]
+        # exclusion cutoff, so evaluate_batch substitutes the additive
+        # upper bound, warns, and reports the event.
+        config = FaultSimConfig(repair="none")
+        faults = [fault("row", 0, 0, bank=0, row=r) for r in range(15)]
         seen = []
         with pytest.warns(RuntimeWarning, match="additive upper bound"):
-            total = union_block_count(
-                regions, GEO, on_approximation=seen.append
+            total, _ = mc.evaluate_batch(
+                mc._slot_batch(faults, [tuple(range(15))]), config,
+                on_approximation=seen.append,
             )
-        assert total == 15 * GEO.blocks_per_row
+        assert total[0] == 15 * GEO.blocks_per_row
         assert seen == [15]
         # At or below the cutoff: exact, silent, no callback.
         seen.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            exact = union_block_count(
-                regions[:14], GEO, on_approximation=seen.append
+            exact, _ = mc.evaluate_batch(
+                mc._slot_batch(faults, [tuple(range(14))]), config,
+                on_approximation=seen.append,
             )
-        assert exact == 14 * GEO.blocks_per_row
+        assert exact[0] == 14 * GEO.blocks_per_row
         assert seen == []
 
     def test_result_counts_approximations(self):
@@ -274,13 +280,6 @@ class TestFaultSimConfig:
         assert mtbf_hours(80) == pytest.approx(8.68, abs=0.01)
         with pytest.raises(ValueError):
             mtbf_hours(0)
-
-    def test_make_ecc(self):
-        assert isinstance(make_ecc("chipkill"), ChipkillCorrect)
-        assert isinstance(make_ecc("secded"), SecDed)
-        assert isinstance(make_ecc("none"), NoEcc)
-        with pytest.raises(ValueError):
-            make_ecc("magic")
 
 
 class TestFaultSimulator:

@@ -1,10 +1,19 @@
 """Live fault injector: scheduling, targeting, determinism."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import make_controller
-from repro.faults import INJECTION_TARGETS, FaultInjector, region_addresses
+from repro.faults import (
+    INJECTION_TARGETS,
+    FaultInjector,
+    FaultSimConfig,
+    region_addresses,
+)
+from repro.memory import DimmGeometry
 
 KB = 1024
 
@@ -69,6 +78,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="mode"):
             FaultInjector(ctrl, mode="fuzzy")
 
+    def test_ecc_mode_rejects_more_than_64_banks(self):
+        # The ECC evaluator's uint64 bank bitset holds 64 banks at most.
+        wide = DimmGeometry(chips=8, chips_per_rank=4, ranks=2, banks=65,
+                            rows=4, cols=256)
+        inj = FaultInjector(make_ctrl(), seed=1, num_faults=2,
+                            horizon_ops=10, mode="ecc",
+                            config=FaultSimConfig(geometry=wide))
+        with pytest.raises(ValueError, match="at most 64 banks"):
+            inj.drain()
+
     def test_all_documented_targets_resolve(self):
         ctrl = make_ctrl(scheme="sac")
         for target in INJECTION_TARGETS:
@@ -108,6 +127,41 @@ class TestDamage:
                             num_faults=6, horizon_ops=10, mode="ecc")
         inj.drain()
         assert inj.events[0].deferred
+
+    def test_ecc_mode_poisoning_is_pinned(self):
+        """What ``mode="ecc"`` poisons, over every repair on the Table-4
+        geometry and on a dense one where chip faults overlap often.
+        The digest is sha256 of the canonical JSON of every run's
+        ``summary()``; the totals say what moved when it fails."""
+        geometries = (
+            DimmGeometry(),
+            DimmGeometry(chips=8, chips_per_rank=4, ranks=2, banks=4,
+                         rows=4, cols=256),
+        )
+        summaries = []
+        for repair in ("chipkill", "chipkill2", "secded", "none"):
+            for geometry in geometries:
+                for seed in (1, 2, 3):
+                    config = FaultSimConfig(geometry=geometry, repair=repair)
+                    inj = FaultInjector(
+                        make_ctrl(), targets=("counter", "tree", "data"),
+                        seed=seed, num_faults=12, horizon_ops=10,
+                        mode="ecc", config=config,
+                    )
+                    inj.drain()
+                    summaries.append(inj.summary())
+        totals = {
+            key: sum(s[key] for s in summaries)
+            for key in ("fired", "deferred", "poisoned_blocks")
+        }
+        canonical = json.dumps(summaries, sort_keys=True,
+                               separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert (len(summaries), totals, digest) == (
+            24,
+            {"fired": 105, "deferred": 183, "poisoned_blocks": 234},
+            "d28d0570926a393fdab6ff28541605800d370e37df2bfacf92a42bf47cd30fd9",
+        )
 
     def test_summary_counts(self):
         ctrl = make_ctrl()

@@ -15,8 +15,6 @@ import pytest
 
 from repro.faults import FaultSimConfig, FaultSimulator, run_mc_campaign
 from repro.faults import mc
-from repro.faults.ecc import DueRegion
-from repro.faults.fault_model import Extent
 from repro.telemetry import MetricRegistry
 from repro.verify.mc_diff import (
     DEFAULT_FIXTURE,
@@ -125,59 +123,54 @@ class TestEngineParity:
         assert observed == cases[f"trial:{name}/k4"]
 
 
-def _encoded_and_object_regions(specs, geometry):
-    """Build matching (mask, row, group) encodings and DueRegions."""
-    encoded, regions = [], []
-    for banks, row, group in specs:
-        mask = 0
-        for bank in banks:
-            mask |= 1 << bank
-        encoded.append((mask, row, group))
-        regions.append(
-            DueRegion(
-                rank=0,
-                extent=Extent(
-                    banks=set(banks),
-                    rows=None if row == -1 else {row},
-                    groups=None if group == -1 else {group},
-                ),
-            )
-        )
-    return encoded, regions
+def _encoded(specs):
+    """(mask, row, group) encodings of ``(banks, row, group)`` specs."""
+    return [
+        (sum(1 << bank for bank in banks), row, group)
+        for banks, row, group in specs
+    ]
 
 
 class TestUnionFallback:
     def test_union_regions_matches_union_block_count(self):
         geometry = CONFIG.geometry
-        specs = [
+        encoded = _encoded([
             ([0], 5, -1),
             ([0], -1, 7),
             ([0, 1, 2], -1, -1),
             ([1], 5, 7),
             ([2], -1, -1),
-        ]
-        encoded, regions = _encoded_and_object_regions(specs, geometry)
+        ])
         assert mc._union_regions(encoded, geometry) == union_block_count(
-            regions, geometry
+            [(0, *region) for region in encoded], geometry
         )
 
     def test_additive_fallback_matches_and_counts(self):
-        # >14 same-rank regions: both paths must substitute the same
-        # additive bound and report each event.
+        # >14 same-rank regions: evaluate_batch substitutes the additive
+        # bound for inclusion-exclusion, which never undercounts the
+        # exact union, and reports the event.
         geometry = CONFIG.geometry
-        specs = [([i % geometry.banks], i, -1) for i in range(16)]
-        encoded, regions = _encoded_and_object_regions(specs, geometry)
-        events_obj = []
+        faults = [
+            ("row", 0, 0, 1 << (i % geometry.banks), i, -1)
+            for i in range(16)
+        ] + [("column", 0, 0, 1, -1, 3)]  # crosses bank 0, row 0
+        encoded = [f[3:] for f in faults]
+        events = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            expected = union_block_count(
-                regions, geometry, on_approximation=events_obj.append
+            total, _ = mc.evaluate_batch(
+                mc._slot_batch(faults, [tuple(range(len(faults)))]),
+                FaultSimConfig(repair="none"),
+                on_approximation=events.append,
             )
         additive = sum(
             mc._region_blocks(m, r, g, geometry) for m, r, g in encoded
         )
-        assert expected == additive
-        assert events_obj == [16]
+        exact = union_block_count(
+            [(0, *region) for region in encoded], geometry
+        )
+        assert total[0] == additive > exact
+        assert events == [17]
 
     def test_fallback_surfaces_through_batched_path(self):
         # fit=80, k=8 triggers real >14-region trials.

@@ -9,12 +9,12 @@ Three invariants the 1e8-trial campaign design rests on:
 * a checkpointed campaign resumed mid-flight finishes bit-identical to
   an uninterrupted run.
 
-It also holds :func:`union_block_count`, the object-model reference
-oracle the integer-encoded ``mc._union_regions`` is checked against.
+It also holds :func:`union_block_count`, the brute-force oracle the
+integer-encoded inclusion-exclusion ``mc._union_regions`` is checked
+against.
 """
 
 import warnings
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,53 +28,35 @@ from repro.faults import (
     run_mc_campaign,
 )
 from repro.faults import mc
-from repro.faults.ecc import DueRegion
-from repro.faults.fault_model import Extent
 from repro.memory.geometry import DimmGeometry
 
 
 CONFIG = FaultSimConfig(fit_per_device=80, trials=2_000, seed=3)
 
 
-def union_block_count(regions, geometry, on_approximation=None) -> int:
-    """Unique blocks covered by DUE regions (inclusion-exclusion).
+def union_block_count(regions, geometry) -> int:
+    """Unique blocks covered by ``(rank, bank_mask, row, group)`` regions.
 
-    Regions in different ranks never overlap; within a rank the extents
-    are rectangular products, so intersections stay rectangular and the
-    inclusion-exclusion sum is exact — except above
-    ``mc.UNION_EXACT_LIMIT`` regions per rank, where the additive
-    *upper bound* replaces the 2^n sum, warns, and reports itself
-    through ``on_approximation(region_count)``.
+    Brute force: mark every covered block in a ``(ranks, banks, rows,
+    blocks_per_row)`` boolean array and count the marks, so it shares
+    no arithmetic with the inclusion-exclusion it checks.
     """
-    total = 0
-    by_rank = {}
-    for region in regions:
-        by_rank.setdefault(region.rank, []).append(region.extent)
-    for extents in by_rank.values():
-        n = len(extents)
-        if n > mc.UNION_EXACT_LIMIT:
-            warnings.warn(
-                f"union_block_count: {n} overlapping DUE regions in one "
-                "rank; substituting the additive upper bound for "
-                "inclusion-exclusion (overestimates unique DUE blocks)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            if on_approximation is not None:
-                on_approximation(n)
-            total += sum(e.block_count(geometry) for e in extents)
-            continue
-        for r in range(1, n + 1):
-            sign = 1 if r % 2 else -1
-            for combo in combinations(extents, r):
-                meet = combo[0]
-                for other in combo[1:]:
-                    meet = meet.intersect(other)
-                    if meet.is_empty():
-                        break
-                else:
-                    total += sign * meet.block_count(geometry)
-    return total
+    covered = np.zeros(
+        (geometry.ranks, geometry.banks, geometry.rows,
+         geometry.blocks_per_row),
+        dtype=bool,
+    )
+    for rank, mask, row, group in regions:
+        for bank in range(geometry.banks):
+            if mask >> bank & 1:
+                covered[
+                    rank,
+                    bank,
+                    slice(None) if row == -1 else row,
+                    slice(None) if group == -1 else group,
+                ] = True
+    return int(np.count_nonzero(covered))
+
 
 _STAT_NAMES = ("due", "blocks", "moment_2", "cross_2", "scheme:src")
 
@@ -180,29 +162,21 @@ _region = st.tuples(
 class TestUnionEncoding:
     @given(specs=st.lists(_region, min_size=1, max_size=6))
     @settings(deadline=None, max_examples=80)
-    def test_int_encoding_matches_object_union(self, specs):
+    def test_int_encoding_matches_marked_union(self, specs):
         """The vector engine's (mask, row, group) inclusion-exclusion
-        must agree with ``union_block_count`` on the object model for
+        must agree with ``union_block_count``'s block marking for
         arbitrary overlapping region sets."""
-        encoded, regions = [], []
+        encoded = []
         for banks, row, group in specs:
             mask = 0
             for bank in banks:
                 mask |= 1 << bank
             encoded.append((mask, row, group))
-            regions.append(
-                DueRegion(
-                    rank=0,
-                    extent=Extent(
-                        banks=set(banks),
-                        rows=None if row == -1 else {row},
-                        groups=None if group == -1 else {group},
-                    ),
-                )
-            )
         assert mc._union_regions(
             encoded, _UNION_GEOMETRY
-        ) == union_block_count(regions, _UNION_GEOMETRY)
+        ) == union_block_count(
+            [(0, *region) for region in encoded], _UNION_GEOMETRY
+        )
 
 
 class TestResumeEqualsUninterrupted:

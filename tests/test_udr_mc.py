@@ -49,7 +49,7 @@ class TestMonteCarloUdr:
         """The data-loss fraction is the high-statistics cross-check:
         every DUE event contributes, so even a small event budget pins
         it down — and it must match the moment estimator's per-block
-        probability, computed by completely different code."""
+        probability, which shares only the ECC evaluator with it."""
         analytic_input = high_fit_sim.run(trials_per_k=1_500)
         ratio = mc_baseline.l_error_fraction / analytic_input.p_block_due
         # Loss per trial is heavy-tailed (rare whole-rank events carry
