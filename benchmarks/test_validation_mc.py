@@ -8,7 +8,7 @@ node by node — and checks the two agree.  They share the fault
 encoding and the ECC evaluator, both pinned by
 tests/fixtures/mc_replay.json.  Everything else is independent: a
 sequential numpy sampler vs the counter RNG, explicit block marking vs
-inclusion-exclusion, and a walk of a real AddressMap vs the moment
+the closed-form union, and a walk of a real AddressMap vs the moment
 formula — so agreement validates the rest of the reliability pipeline.
 """
 

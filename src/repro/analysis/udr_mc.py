@@ -13,7 +13,7 @@ ECC evaluator (:func:`repro.faults.mc.due_regions` asks the same
 ``_candidates`` the batched engine does), both pinned by
 ``tests/fixtures/mc_replay.json``.  What stays independent is the rest
 of the pipeline: a sequential numpy sampler instead of the counter
-RNG, explicit block marking instead of inclusion-exclusion, and a walk
+RNG, explicit block marking instead of the closed-form union, and a walk
 of a real :class:`~repro.memory.AddressMap` instead of the moment
 formula.
 
@@ -202,7 +202,12 @@ def _unverifiable_bytes(amap: AddressMap, due_blocks: np.ndarray) -> tuple:
         if level == 1 and len(sidecar_hits):
             forced = (sidecar_hits[:, None] * 8 + np.arange(8)).ravel()
             forced = forced[forced < amap.level_sizes[0]]
-            lost = np.union1d(lost, forced)
+            # Both are sorted and distinct, and only the covered sum is
+            # used below: append the forced blocks not already lost.
+            if len(lost):
+                at = np.minimum(np.searchsorted(lost, forced), len(lost) - 1)
+                forced = forced[lost[at] != forced]
+            lost = np.concatenate([lost, forced])
         if not len(lost):
             continue
         span = 64 * 8 ** (level - 1)  # data blocks per node
@@ -250,6 +255,11 @@ def monte_carlo_udr(
     rng = np.random.default_rng(rng_seed)
     mean = config.expected_faults_per_dimm()
 
+    # Block-marking arrays, allocated once: each trial clears only the
+    # entries it marked, and the data range is counted, never scanned.
+    meta_marks = np.zeros(meta_hi - meta_lo, dtype=bool)
+    data_marks = np.zeros(meta_lo, dtype=bool)
+
     expected_unverifiable = 0.0
     expected_data_error = 0.0
     unverifiable_var = 0.0
@@ -277,27 +287,32 @@ def monte_carlo_udr(
             # device, so even a whole-rank fault enumerates cheaply).
             # Regions overlap, so their hits are merged by marking a
             # boolean array, linear in the hits, rather than by sorting.
-            meta_marks = np.zeros(meta_hi - meta_lo, dtype=bool)
             for region in regions:
                 hits = region_hits_in_range(region, geometry, meta_lo, meta_hi)
                 meta_marks[hits - meta_lo] = True
             meta_blocks = np.flatnonzero(meta_marks) + meta_lo
+            meta_marks[meta_blocks - meta_lo] = False
 
             # Data range: only the count matters (L_error); cap the
             # enumeration — truncation can only bias L_error, which is
-            # also pinned analytically.
-            data_marks = np.zeros(meta_lo, dtype=bool)
+            # also pinned analytically.  One region's hits are distinct,
+            # so the ones not yet marked are the new blocks.
             budget = ENUMERATION_CAP
+            data_hits = 0
+            marked = []
             for region in regions:
                 hits = region_hits_in_range(region, geometry, 0, meta_lo)
                 if len(hits) > budget:
                     hits = hits[:budget]
                     truncated += 1
                 budget -= len(hits)
+                data_hits += len(hits) - int(np.count_nonzero(data_marks[hits]))
                 data_marks[hits] = True
+                marked.append(hits)
                 if budget <= 0:
                     break
-            data_hits = int(np.count_nonzero(data_marks))
+            for hits in marked:
+                data_marks[hits] = False
 
             unverifiable, counts = _unverifiable_bytes(amap, meta_blocks)
             if data_hits:

@@ -54,8 +54,8 @@ class FaultSimResult:
     #: region): E[prod_i f_{rank(i)}] — the default for UDR analysis.
     p_multi_due_cross: dict = field(default_factory=dict)
     by_fault_count: dict = field(default_factory=dict)
-    #: Times the >14-region additive upper bound replaced exact
-    #: inclusion-exclusion during the campaign (0 = every union exact).
+    #: Times the >14-region additive upper bound replaced the exact
+    #: union during the campaign (0 = every union exact).
     union_approximations: int = 0
 
     @property

@@ -211,6 +211,8 @@ class FaultInjector:
             raise ValueError(f"mode must be 'direct' or 'ecc', got {mode!r}")
         if num_faults < 0:
             raise ValueError("num_faults must be >= 0")
+        if max_blocks_per_fault < 0:
+            raise ValueError("max_blocks_per_fault must be >= 0")
         if horizon_ops < 1:
             raise ValueError("horizon_ops must be >= 1")
         unknown = [t for t in targets if t not in INJECTION_TARGETS]

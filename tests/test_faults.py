@@ -39,7 +39,10 @@ def region(rank=0, bank=None, row=-1, group=-1):
 
 def block_count(region):
     _, mask, row, group = region
-    return mc._region_blocks(mask, row, group, GEO)
+    return int(mc._region_blocks(
+        np.array([mask], dtype=np.uint64), np.array([row]), np.array([group]),
+        GEO,
+    )[0])
 
 
 class TestExtent:

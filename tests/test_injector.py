@@ -88,6 +88,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="at most 64 banks"):
             inj.drain()
 
+    @pytest.mark.parametrize("mode", ["direct", "ecc"])
+    def test_rejects_negative_max_blocks_per_fault(self, mode):
+        # Unchecked, direct mode silently deferred every event, and ecc
+        # mode failed inside islice once a fault was uncorrectable.
+        with pytest.raises(ValueError, match="max_blocks_per_fault"):
+            FaultInjector(make_ctrl(), mode=mode, max_blocks_per_fault=-1)
+
     def test_all_documented_targets_resolve(self):
         ctrl = make_ctrl(scheme="sac")
         for target in INJECTION_TARGETS:

@@ -25,7 +25,7 @@ from repro.verify.mc_diff import (
     observe_sampler,
     observe_trial,
 )
-from tests.test_mc_properties import union_block_count
+from tests.test_mc_properties import pack_regions, union_block_count
 
 
 #: The ``chipkill/hopper`` configuration of the pinned mc-diff corpus.
@@ -141,14 +141,15 @@ class TestUnionFallback:
             ([1], 5, 7),
             ([2], -1, -1),
         ])
-        assert mc._union_regions(encoded, geometry) == union_block_count(
+        union = mc._union_regions(*pack_regions([encoded]), geometry)
+        assert union.tolist() == [union_block_count(
             [(0, *region) for region in encoded], geometry
-        )
+        )]
 
     def test_additive_fallback_matches_and_counts(self):
         # >14 same-rank regions: evaluate_batch substitutes the additive
-        # bound for inclusion-exclusion, which never undercounts the
-        # exact union, and reports the event.
+        # bound for the exact union, which it never undercounts, and
+        # reports the event.
         geometry = CONFIG.geometry
         faults = [
             ("row", 0, 0, 1 << (i % geometry.banks), i, -1)
@@ -163,9 +164,8 @@ class TestUnionFallback:
                 FaultSimConfig(repair="none"),
                 on_approximation=events.append,
             )
-        additive = sum(
-            mc._region_blocks(m, r, g, geometry) for m, r, g in encoded
-        )
+        mask, row, group, _ = pack_regions([encoded])
+        additive = int(mc._region_blocks(mask, row, group, geometry).sum())
         exact = union_block_count(
             [(0, *region) for region in encoded], geometry
         )

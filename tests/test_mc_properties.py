@@ -10,15 +10,16 @@ Three invariants the 1e8-trial campaign design rests on:
   an uninterrupted run.
 
 It also holds :func:`union_block_count`, the brute-force oracle the
-integer-encoded inclusion-exclusion ``mc._union_regions`` is checked
-against.
+vectorized closed-form union ``mc._union_regions`` is checked against,
+and :func:`pack_regions`, which lays region lists out as that
+function's arrays.
 """
 
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.faults import (
@@ -39,7 +40,7 @@ def union_block_count(regions, geometry) -> int:
 
     Brute force: mark every covered block in a ``(ranks, banks, rows,
     blocks_per_row)`` boolean array and count the marks, so it shares
-    no arithmetic with the inclusion-exclusion it checks.
+    no arithmetic with the closed-form union it checks.
     """
     covered = np.zeros(
         (geometry.ranks, geometry.banks, geometry.rows,
@@ -56,6 +57,26 @@ def union_block_count(regions, geometry) -> int:
                     slice(None) if group == -1 else group,
                 ] = True
     return int(np.count_nonzero(covered))
+
+
+def pack_regions(trials):
+    """``mc._union_regions``'s ``(mask, row, group, selected)`` arrays
+    for lists of ``(mask, row, group)`` regions, one list per trial.
+
+    Short trials are padded with unselected whole-rank regions, so an
+    unselected slot that got counted would show in the result.
+    """
+    width = max([len(regions) for regions in trials] + [1])
+    shape = (len(trials), width)
+    mask = np.full(shape, (1 << 64) - 1, dtype=np.uint64)
+    row = np.full(shape, -1, dtype=np.int32)
+    group = np.full(shape, -1, dtype=np.int32)
+    selected = np.zeros(shape, dtype=bool)
+    for i, regions in enumerate(trials):
+        for j, (m, r, g) in enumerate(regions):
+            mask[i, j], row[i, j], group[i, j] = m, r, g
+            selected[i, j] = True
+    return mask, row, group, selected
 
 
 _STAT_NAMES = ("due", "blocks", "moment_2", "cross_2", "scheme:src")
@@ -148,35 +169,70 @@ class TestSamplerBatchInvariance:
             assert np.array_equal(getattr(whole, name), stitched)
 
 
-_UNION_GEOMETRY = DimmGeometry(
-    chips=8, chips_per_rank=4, ranks=2, banks=4, rows=4, cols=256
+#: Rows and groups differ, so a formula that swaps them fails; the
+#: second geometry has 64 banks, so bank bit 63 is the mask's top bit.
+_UNION_GEOMETRIES = (
+    DimmGeometry(chips=8, chips_per_rank=4, ranks=2, banks=4, rows=5,
+                 cols=192),
+    DimmGeometry(chips=8, chips_per_rank=4, ranks=2, banks=64, rows=3,
+                 cols=256),
 )
 
-_region = st.tuples(
-    st.sets(st.integers(0, 3), min_size=1, max_size=4),
-    st.integers(-1, 3),
-    st.integers(-1, 3),
-)
+
+@st.composite
+def union_trials(draw):
+    """A geometry and 1-5 trials of 0-8 regions each.  Rows and groups
+    of -1 make all four region kinds: whole bank, column, row, point.
+    Some regions cover every bank, and some trials repeat a region."""
+    geometry = draw(st.sampled_from(_UNION_GEOMETRIES))
+    banks = geometry.banks
+    mask = st.one_of(
+        st.just((1 << banks) - 1),
+        st.sets(st.integers(0, banks - 1), min_size=1, max_size=4).map(
+            lambda chosen: sum(1 << bank for bank in chosen)
+        ),
+    )
+    region = st.tuples(
+        mask,
+        st.integers(-1, geometry.rows - 1),
+        st.integers(-1, geometry.blocks_per_row - 1),
+    )
+    trials = []
+    for _ in range(draw(st.integers(1, 5))):
+        regions = draw(st.lists(region, max_size=6))
+        if regions:
+            regions += draw(st.lists(st.sampled_from(regions), max_size=2))
+        trials.append(regions)
+    return geometry, trials
+
+
+_TOP = 1 << 63
+#: Always run: no region, one region, a duplicate, and every region
+#: kind on bank 63 of the 64-bank geometry.
+_EXPLICIT_TRIALS = [
+    [],
+    [(_TOP, 1, 2)],
+    [(_TOP | 1, 0, -1), (_TOP | 1, 0, -1)],
+    [(_TOP, -1, -1), (_TOP | 2, -1, 1), (_TOP | 2, 2, -1), (_TOP | 6, 1, 3),
+     (4, 0, 0), (2, 2, 1)],
+]
 
 
 class TestUnionEncoding:
-    @given(specs=st.lists(_region, min_size=1, max_size=6))
+    @given(case=union_trials())
+    @example(case=(_UNION_GEOMETRIES[1], _EXPLICIT_TRIALS))
     @settings(deadline=None, max_examples=80)
-    def test_int_encoding_matches_marked_union(self, specs):
-        """The vector engine's (mask, row, group) inclusion-exclusion
-        must agree with ``union_block_count``'s block marking for
-        arbitrary overlapping region sets."""
-        encoded = []
-        for banks, row, group in specs:
-            mask = 0
-            for bank in banks:
-                mask |= 1 << bank
-            encoded.append((mask, row, group))
-        assert mc._union_regions(
-            encoded, _UNION_GEOMETRY
-        ) == union_block_count(
-            [(0, *region) for region in encoded], _UNION_GEOMETRY
-        )
+    def test_int_encoding_matches_marked_union(self, case):
+        """One ``_union_regions`` call over several trials must give
+        each trial ``union_block_count``'s block marking of its own
+        regions: a key that mixed trials would show as a mismatch."""
+        geometry, trials = case
+        counts = mc._union_regions(*pack_regions(trials), geometry)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [
+            union_block_count([(0, *r) for r in regions], geometry)
+            for regions in trials
+        ]
 
 
 class TestResumeEqualsUninterrupted:
