@@ -75,6 +75,8 @@ class FaultSimulator:
         config = self.config
         if trials_per_k is None:
             trials_per_k = max(200, config.trials // mc.MAX_FAULTS)
+        if trials_per_k < 1:
+            raise ValueError("trials_per_k must be >= 1")
         approximations = []
         mean = config.expected_faults_per_dimm()
         max_depth = 5  # deepest cloning the analysis will ask about

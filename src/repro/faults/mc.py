@@ -8,7 +8,9 @@ This module is the batched engine behind :class:`FaultSimulator` and the
 SplitMix64 mix on ``numpy.uint64`` arrays.  Because draws are keyed
 rather than sequenced, the stream is identical no matter how trials are
 chunked into batches — batch-size invariance and resume-bit-identity
-fall out by construction.
+fall out by construction.  A bucket's stream keys are derived once per
+``(seed, k, banks)`` and memoised, and each fault field is one
+SplitMix64 pass over all of the bucket's slots at once.
 
 **Integer-encoded ECC evaluation.**  Each fault is encoded as
 ``(class, rank, chip, bank-mask, row, group)`` integers and ECC
@@ -33,6 +35,7 @@ biased distribution ``q`` and carries the exact likelihood ratio
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -123,10 +126,19 @@ def mix64(value: int) -> int:
 
 def mix64_array(values: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (twin of mix64)."""
-    z = values + _GOLDEN_U
-    z = (z ^ (z >> _U(30))) * _MIX1_U
-    z = (z ^ (z >> _U(27))) * _MIX2_U
-    return z ^ (z >> _U(31))
+    return _mix64_in_place(np.array(values, dtype=np.uint64))
+
+
+def _mix64_in_place(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64_array` of a uint64 array the caller owns, computed
+    in place (uint64 arithmetic wraps, so the words are the same)."""
+    z += _GOLDEN_U
+    z ^= z >> _U(30)
+    z *= _MIX1_U
+    z ^= z >> _U(27)
+    z *= _MIX2_U
+    z ^= z >> _U(31)
+    return z
 
 
 def stream_key(*parts: int) -> int:
@@ -139,11 +151,40 @@ def stream_key(*parts: int) -> int:
 
 def draw_array(key: int, trials: np.ndarray) -> np.ndarray:
     """The ``trials``-th 64-bit values of stream ``key``."""
-    return mix64_array(_U(key) ^ (trials * _STREAM_U))
+    return _mix64_in_place(_U(key) ^ (trials * _STREAM_U))
+
+
+@functools.lru_cache(maxsize=64)
+def _bucket_keys(seed: int, k: int, banks: int) -> tuple:
+    """The stream keys of one k-fault bucket, read-only uint64 arrays:
+    ``fields[f, j]`` for the six per-slot fields ``F_CLASS`` ..
+    ``F_GROUP``, ``nbank_count[j]``, and ``nbank_score[j, bank]``."""
+    fields = np.array(
+        [[stream_key(seed, k, j, f) for j in range(k)]
+         for f in range(F_NBANK_COUNT)],
+        dtype=np.uint64,
+    ).reshape(F_NBANK_COUNT, k)
+    nbank_count = np.array(
+        [stream_key(seed, k, j, F_NBANK_COUNT) for j in range(k)],
+        dtype=np.uint64,
+    )
+    nbank_score = np.array(
+        [[stream_key(seed, k, j, F_NBANK_SCORE, bank) for bank in range(banks)]
+         for j in range(k)],
+        dtype=np.uint64,
+    ).reshape(k, banks)
+    for keys in (fields, nbank_count, nbank_score):
+        keys.flags.writeable = False
+    return fields, nbank_count, nbank_score
 
 
 def _unit_float_array(raw: np.ndarray) -> np.ndarray:
-    return (raw >> _U(11)).astype(np.float64) * 2.0**-53
+    """Uniform floats in [0, 1) from the top 53 bits of words the
+    caller owns (``raw`` is shifted in place)."""
+    raw >>= _U(11)
+    unit = raw.astype(np.float64)
+    unit *= 2.0**-53
+    return unit
 
 
 # ---------------------------------------------------------------------------
@@ -218,19 +259,21 @@ def sample_batch(
     """Sample ``trials`` conditioned k-fault trials as arrays.
 
     Trial identity is the *global* index ``start_trial + i``, so any
-    chunking of the same index range yields identical faults.
+    chunking of the same index range yields identical faults.  Each
+    field is drawn for all slots at once: one SplitMix64 pass over a
+    ``(trials, k)`` array whose column j is slot j's stream, which is
+    the batch's own layout, so nothing is transposed.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     geometry = config.geometry
     if geometry.banks > 64:
         raise ValueError("bank bitsets support at most 64 banks")
     classes = tuple(config.relative_rates)
     dist = q if q is not None else config.relative_rates
     cdf = np.array(_class_cdf(classes, dist))
-    ratios = (
-        np.array(_likelihood_ratios(classes, config.relative_rates, q))
-        if q is not None
-        else None
-    )
 
     has_row = np.array([c in _HAS_ROW for c in classes])
     has_group = np.array([c in _HAS_GROUP for c in classes])
@@ -241,61 +284,65 @@ def sample_batch(
     # defaults — full bank mask, row/group = all — already encode them.
     full_mask = _U((1 << geometry.banks) - 1)
 
-    t = np.arange(start_trial, start_trial + trials, dtype=np.uint64)
-    n = trials
-    shape = (n, k)
-    class_index = np.empty(shape, dtype=np.int16)
-    rank = np.empty(shape, dtype=np.int16)
-    chip = np.empty(shape, dtype=np.int32)
-    bank_mask = np.empty(shape, dtype=np.uint64)
-    row = np.empty(shape, dtype=np.int32)
-    group = np.empty(shape, dtype=np.int32)
-    weight = np.ones(n, dtype=np.float64)
-    seed = config.seed
+    keys, nbank_count, nbank_score = _bucket_keys(
+        config.seed, k, geometry.banks
+    )
+    stride = (
+        np.arange(start_trial, start_trial + trials, dtype=np.uint64)
+        * _STREAM_U
+    )[:, None]
 
-    for j in range(k):
-        u = _unit_float_array(draw_array(stream_key(seed, k, j, F_CLASS), t))
-        cls = np.minimum(
-            np.searchsorted(cdf, u, side="right"), len(classes) - 1
-        ).astype(np.int16)
-        class_index[:, j] = cls
-        if ratios is not None:
-            weight = weight * ratios[cls]
+    def draw(field: int) -> np.ndarray:
+        return _mix64_in_place(stride ^ keys[field])
 
-        rank_j = (
-            draw_array(stream_key(seed, k, j, F_RANK), t) % _U(geometry.ranks)
-        ).astype(np.int16)
-        chip_pos = (
-            draw_array(stream_key(seed, k, j, F_CHIP), t)
-            % _U(geometry.chips_per_rank)
-        ).astype(np.int32)
-        bank = (
-            draw_array(stream_key(seed, k, j, F_BANK), t) % _U(geometry.banks)
-        ).astype(np.int32)
-        row_j = (
-            draw_array(stream_key(seed, k, j, F_ROW), t) % _U(geometry.rows)
-        ).astype(np.int32)
-        group_j = (
-            draw_array(stream_key(seed, k, j, F_GROUP), t)
-            % _U(geometry.blocks_per_row)
-        ).astype(np.int32)
-        rank[:, j] = rank_j
-        chip[:, j] = rank_j.astype(np.int32) * geometry.chips_per_rank + chip_pos
+    def below(field: int, bound: int) -> np.ndarray:
+        """Field words reduced to ``[0, bound)``, in place."""
+        words = draw(field)
+        words %= _U(bound)
+        return words
 
-        mask_j = np.where(
-            single_bank[cls],
-            _U(1) << bank.astype(np.uint64),
-            full_mask,
+    class_index = np.searchsorted(
+        cdf, _unit_float_array(draw(F_CLASS)), side="right"
+    )
+    np.minimum(class_index, len(classes) - 1, out=class_index)
+    class_index = class_index.astype(np.int16)
+    weight = np.ones(trials, dtype=np.float64)
+    if q is not None:
+        ratios = np.array(
+            _likelihood_ratios(classes, config.relative_rates, q)
         )
-        if nbank_index >= 0:
-            sel = np.nonzero(cls == nbank_index)[0]
-            if sel.size:
-                mask_j[sel] = _nbank_masks_array(
-                    seed, k, j, t[sel], geometry.banks
-                )
-        bank_mask[:, j] = mask_j
-        row[:, j] = np.where(has_row[cls], row_j, np.int32(-1))
-        group[:, j] = np.where(has_group[cls], group_j, np.int32(-1))
+        # Slot by slot, left to right: the same float rounding as a
+        # trial-at-a-time product.
+        for j in range(k):
+            weight = weight * ratios[class_index[:, j]]
+
+    rank = below(F_RANK, geometry.ranks).astype(np.int16)
+    chip = (
+        rank.astype(np.int32) * geometry.chips_per_rank
+        + below(F_CHIP, geometry.chips_per_rank).astype(np.int32)
+    )
+    bank_mask = np.where(
+        single_bank[class_index],
+        _U(1) << below(F_BANK, geometry.banks),
+        full_mask,
+    )
+    if nbank_index >= 0:
+        trial, slot = np.nonzero(class_index == nbank_index)
+        if trial.size:
+            bank_mask[trial, slot] = _nbank_masks_array(
+                nbank_count[slot], nbank_score[slot], stride[trial, 0],
+                geometry.banks,
+            )
+    row = np.where(
+        has_row[class_index],
+        below(F_ROW, geometry.rows).astype(np.int32),
+        np.int32(-1),
+    )
+    group = np.where(
+        has_group[class_index],
+        below(F_GROUP, geometry.blocks_per_row).astype(np.int32),
+        np.int32(-1),
+    )
 
     return FaultBatch(
         k=k,
@@ -312,23 +359,25 @@ def sample_batch(
     )
 
 
-def _nbank_masks_array(seed, k, j, t_sel, banks) -> np.ndarray:
-    """Bitsets of the nbank subsets for the selected trials (vector)."""
+def _nbank_masks_array(count_keys, score_keys, stride, banks) -> np.ndarray:
+    """Bitsets of the nbank subsets of selected (trial, slot) pairs.
+
+    Pair i draws from its slot's ``count_keys[i]`` stream and per-lane
+    ``score_keys[i]`` streams (a fresh array, mixed in place) at the
+    trial whose index times the stream stride is ``stride[i]``.  It
+    keeps the ``count`` lanes of lowest score, ties broken by lane: the
+    lane ``order[i, r]`` is kept when ``r < count[i]``.
+    """
     count = (
-        _U(2)
-        + draw_array(stream_key(seed, k, j, F_NBANK_COUNT), t_sel)
-        % _U(banks - 1)
+        _U(2) + _mix64_in_place(count_keys ^ stride) % _U(banks - 1)
     ).astype(np.int64)
-    scores = np.empty((t_sel.size, banks), dtype=np.uint64)
-    for bank in range(banks):
-        scores[:, bank] = draw_array(
-            stream_key(seed, k, j, F_NBANK_SCORE, bank), t_sel
-        )
-    order = np.argsort(scores, axis=1, kind="stable")
-    position = np.argsort(order, axis=1, kind="stable")
-    chosen = position < count[:, None]
-    lanes = np.arange(banks, dtype=np.uint64)
-    return (chosen.astype(np.uint64) << lanes).sum(axis=1, dtype=np.uint64)
+    score_keys ^= stride[:, None]
+    order = np.argsort(
+        _mix64_in_place(score_keys), axis=1, kind="stable"
+    ).view(np.uint64)
+    bits = np.left_shift(_U(1), order, out=order)
+    bits *= np.arange(banks) < count[:, None]
+    return bits.sum(axis=1, dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------

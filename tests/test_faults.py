@@ -323,3 +323,9 @@ class TestFaultSimulator:
         result = sim.run(trials_per_k=500)
         # Spreading copies across ranks can only reduce joint loss.
         assert result.p_multi_due_cross[2] <= result.p_multi_due[2] * 1.5
+
+    @pytest.mark.parametrize("trials_per_k", [0, -5])
+    def test_rejects_fewer_than_one_trial_per_bucket(self, trials_per_k):
+        sim = FaultSimulator(FaultSimConfig(fit_per_device=80))
+        with pytest.raises(ValueError, match="trials_per_k"):
+            sim.run(trials_per_k=trials_per_k)

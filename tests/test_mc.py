@@ -92,6 +92,26 @@ class TestSamplerTwins:
         batch = mc.sample_batch(CONFIG, 4, 0, 50)
         assert np.all(batch.weight == 1.0)
 
+    @pytest.mark.parametrize("k, trials, name", [
+        (-1, 10, "k"), (3, -1, "trials"),
+    ])
+    def test_negative_sizes_rejected(self, k, trials, name):
+        q = mc.importance_distribution(CONFIG.relative_rates)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 0"):
+            mc.sample_batch(CONFIG, k, 0, trials, q=q)
+
+    @pytest.mark.parametrize("q", [None, "importance"])
+    def test_zero_faults_is_an_empty_batch(self, q):
+        if q is not None:
+            q = mc.importance_distribution(CONFIG.relative_rates)
+        batch = mc.sample_batch(CONFIG, 0, 7, 12, q=q)
+        assert (batch.k, batch.trials) == (0, 12)
+        for name in ("class_index", "rank", "chip", "bank_mask", "row",
+                     "group", "multibit"):
+            assert getattr(batch, name).shape == (12, 0)
+        assert batch.weight.dtype == np.float64
+        assert batch.weight.tolist() == [1.0] * 12
+
     def test_batch_size_invariance(self):
         whole = mc.sample_batch(CONFIG, 5, 0, 90)
         parts = [
