@@ -1,12 +1,7 @@
 """Cache models: generic set-associative, CPU hierarchy, metadata cache."""
 
-from repro.cache.cache import CacheLine, CacheStats, Eviction, SetAssociativeCache
-from repro.cache.hierarchy import (
-    TABLE3_LEVELS,
-    CacheHierarchy,
-    HierarchyResult,
-    LevelConfig,
-)
+from repro.cache.cache import CacheStats, SetAssociativeCache
+from repro.cache.hierarchy import TABLE3_LEVELS, CacheHierarchy, LevelConfig
 from repro.cache.metadata_cache import (
     MetadataCache,
     MetadataCacheStats,
@@ -15,10 +10,7 @@ from repro.cache.metadata_cache import (
 
 __all__ = [
     "CacheHierarchy",
-    "CacheLine",
     "CacheStats",
-    "Eviction",
-    "HierarchyResult",
     "LevelConfig",
     "MetadataCache",
     "MetadataCacheStats",

@@ -1,85 +1,48 @@
-"""Generic set-associative write-back cache with LRU replacement.
+"""Set-associative LRU cache of line tags and dirty bits: the CPU caches.
 
-Used both for the CPU-side cache hierarchy (tags only — the data path
-does not matter for timing) and for the metadata cache, which
-additionally stores live Python payloads (counter blocks and tree
-nodes) so the functional secure-memory model operates on cached copies.
+A :class:`SetAssociativeCache` holds exactly the state the batch engine
+(:mod:`repro.sim.engine`) runs on: ``sets``, one ``{tag: dirty}`` dict
+per set whose key order is LRU order, oldest first.  The engine probes,
+fills and evicts in those dicts in place and folds its counts into
+``stats``.  Lines carry no data — the functional data path lives behind
+the memory controller.  The security-metadata cache, which holds live
+payloads in fixed slots, is the separate
+:class:`~repro.cache.metadata_cache.MetadataCache`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-
 from repro.constants import CACHELINE_BYTES
-from repro.telemetry import CounterMetric
+from repro.telemetry import CounterMetric, counter_field
 
 
-@dataclass(slots=True)
-class CacheLine:
-    """One resident line: its payload and dirty state."""
+class CacheCounters:
+    """Hit/miss/eviction counters of one cache, backed by registry
+    instruments.
 
-    tag: int
-    payload: object = None
-    dirty: bool = False
-
-
-@dataclass(slots=True)
-class Eviction:
-    """A victim pushed out of the cache."""
-
-    address: int
-    payload: object
-    dirty: bool
-
-
-def _counter_field(attr):
-    """Property pair exposing a CounterMetric as a plain-int field."""
-
-    def fget(self):
-        return getattr(self, attr).n
-
-    def fset(self, value):
-        getattr(self, attr).n = value
-
-    return property(fget, fset)
-
-
-class CacheStats:
-    """Per-cache counters, backed by registry instruments.
-
-    The historical dataclass field names (``hits``, ``misses``, ...)
-    are preserved as read/write properties over
-    :class:`~repro.telemetry.CounterMetric` instruments, so every
-    existing consumer keeps working while registry-wide
-    ``snapshot()``/``reset()`` cover this domain by construction.
+    Each name in ``FIELDS`` is a :class:`~repro.telemetry.CounterMetric`
+    named ``<prefix>.<field>``, readable and writable as a plain-int
+    property, so registry-wide ``snapshot()``/``reset()`` cover the
+    cache by construction.  Subclasses give ``FIELDS``, the help
+    strings and the default prefix.
     """
 
-    FIELDS = ("hits", "misses", "evictions", "dirty_evictions", "writebacks")
+    FIELDS = ("hits", "misses", "evictions", "dirty_evictions")
+    PREFIX: str
+    _HELP: dict
 
-    _HELP = {
-        "hits": "accesses served by a resident line",
-        "misses": "accesses that required a fill",
-        "evictions": "victims pushed out by fills",
-        "dirty_evictions": "evicted victims carrying unwritten state",
-        # Incremented in lockstep with dirty_evictions on the access
-        # path (explicit invalidate/flush_all drops are the caller's
-        # writebacks to account for), so the two counters always agree.
-        "writebacks": "dirty victims pushed out toward memory",
-    }
+    hits = counter_field("_hits")
+    misses = counter_field("_misses")
+    evictions = counter_field("_evictions")
+    dirty_evictions = counter_field("_dirty_evictions")
 
-    def __init__(self, registry=None, prefix: str = "cache"):
+    def __init__(self, registry=None, prefix: str = None):
+        prefix = self.PREFIX if prefix is None else prefix
         for name in self.FIELDS:
             metric = CounterMetric(f"{prefix}.{name}", help=self._HELP[name])
             if registry is not None:
                 registry.register(metric)
             setattr(self, f"_{name}", metric)
-
-    hits = _counter_field("_hits")
-    misses = _counter_field("_misses")
-    evictions = _counter_field("_evictions")
-    dirty_evictions = _counter_field("_dirty_evictions")
-    writebacks = _counter_field("_writebacks")
 
     @property
     def accesses(self) -> int:
@@ -97,7 +60,7 @@ class CacheStats:
         return tuple(getattr(self, name) for name in self.FIELDS)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, CacheStats):
+        if type(other) is not type(self):
             return NotImplemented
         return self._values() == other._values()
 
@@ -105,11 +68,36 @@ class CacheStats:
         inner = ", ".join(
             f"{name}={value}" for name, value in zip(self.FIELDS, self._values())
         )
-        return f"CacheStats({inner})"
+        return f"{type(self).__name__}({inner})"
+
+
+class CacheStats(CacheCounters):
+    """Per-level CPU-cache counters (``cache.<level>.*``)."""
+
+    FIELDS = CacheCounters.FIELDS + ("writebacks",)
+    PREFIX = "cache"
+
+    _HELP = {
+        "hits": "accesses served by a resident line",
+        "misses": "accesses that required a fill",
+        "evictions": "victims pushed out by fills",
+        "dirty_evictions": "evicted victims carrying unwritten state",
+        # The engine counts every dirty victim here, in lockstep with
+        # dirty_evictions, so the two always agree.  Only the last
+        # level's dirty victims reach the controller (see hierarchy).
+        "writebacks": "dirty victims pushed out toward memory",
+    }
+
+    writebacks = counter_field("_writebacks")
 
 
 class SetAssociativeCache:
-    """LRU set-associative cache keyed by block address."""
+    """LRU set-associative cache of line tags with dirty bits.
+
+    The line at byte address ``a`` lives in set
+    ``(a // line_size) % num_sets`` under tag
+    ``a // (line_size * num_sets)``.
+    """
 
     def __init__(
         self,
@@ -128,166 +116,17 @@ class SetAssociativeCache:
         self.line_size = line_size
         self.num_sets = size_bytes // (ways * line_size)
         self.name = name
-        # One OrderedDict per set: key = tag, order = LRU (oldest first).
-        self._sets = [OrderedDict() for _ in range(self.num_sets)]
+        #: One ``{tag: dirty}`` dict per set, in LRU order (oldest first).
+        self.sets = [{} for _ in range(self.num_sets)]
         self.stats = CacheStats(registry=registry, prefix=f"cache.{name}")
-        # Hot-loop hoists: direct instrument references keep the access
-        # path at plain-attribute-store cost.
-        self._hits = self.stats._hits
-        self._misses = self.stats._misses
-        self._evictions = self.stats._evictions
-        self._dirty_evictions = self.stats._dirty_evictions
-        self._writebacks = self.stats._writebacks
 
-    # ---- address arithmetic ----
-
-    def set_index(self, address: int) -> int:
-        return (address // self.line_size) % self.num_sets
-
-    def tag_of(self, address: int) -> int:
-        return address // (self.line_size * self.num_sets)
-
-    def address_of(self, set_index: int, tag: int) -> int:
-        return (tag * self.num_sets + set_index) * self.line_size
-
-    def _align(self, address: int) -> int:
-        return address - (address % self.line_size)
-
-    # ---- lookup / fill ----
-
-    def contains(self, address: int) -> bool:
-        address = self._align(address)
-        return self.tag_of(address) in self._sets[self.set_index(address)]
-
-    def peek(self, address: int):
-        """Payload without touching LRU order; None when absent."""
-        address = self._align(address)
-        line = self._sets[self.set_index(address)].get(self.tag_of(address))
-        return line.payload if line else None
-
-    def access(self, address: int, is_write: bool = False, payload: object = None):
-        """Access a line; fills on miss.  Returns (hit, eviction-or-None).
-
-        On a write hit/fill the line is marked dirty.  ``payload``
-        replaces the stored payload when supplied (writes) or fills it
-        on a miss (reads of freshly fetched metadata).
-        """
-        address = self._align(address)
-        set_idx = self.set_index(address)
-        tag = self.tag_of(address)
-        lines = self._sets[set_idx]
-
-        if tag in lines:
-            self._hits.n += 1
-            line = lines.pop(tag)
-            if payload is not None:
-                line.payload = payload
-            line.dirty = line.dirty or is_write
-            lines[tag] = line  # re-insert as MRU
-            return True, None
-
-        self._misses.n += 1
-        eviction = None
-        if len(lines) >= self.ways:
-            victim_tag, victim = lines.popitem(last=False)
-            self._evictions.n += 1
-            if victim.dirty:
-                self._dirty_evictions.n += 1
-                self._writebacks.n += 1
-            eviction = Eviction(
-                address=self.address_of(set_idx, victim_tag),
-                payload=victim.payload,
-                dirty=victim.dirty,
-            )
-        lines[tag] = CacheLine(tag=tag, payload=payload, dirty=is_write)
-        return False, eviction
-
-    def update_payload(self, address: int, payload: object, mark_dirty: bool = True) -> None:
-        """Mutate the payload of a resident line (no LRU movement)."""
-        address = self._align(address)
-        line = self._sets[self.set_index(address)].get(self.tag_of(address))
-        if line is None:
-            raise KeyError(f"address {address:#x} not resident in {self.name}")
-        line.payload = payload
-        line.dirty = line.dirty or mark_dirty
-
-    def invalidate(self, address: int):
-        """Drop a line without writeback; returns its Eviction or None."""
-        address = self._align(address)
-        set_idx = self.set_index(address)
-        tag = self.tag_of(address)
-        line = self._sets[set_idx].pop(tag, None)
-        if line is None:
-            return None
-        return Eviction(address=address, payload=line.payload, dirty=line.dirty)
-
-    def flush_all(self):
-        """Evict every resident line (dirty ones returned for writeback)."""
-        evictions = []
-        for set_idx, lines in enumerate(self._sets):
-            for tag, line in lines.items():
-                evictions.append(
-                    Eviction(
-                        address=self.address_of(set_idx, tag),
-                        payload=line.payload,
-                        dirty=line.dirty,
-                    )
-                )
-            lines.clear()
-        return evictions
-
-    # ---- batched-engine state interchange ----
-
-    def export_sets(self) -> list:
-        """Tag-only residency state as one ``{tag: dirty}`` dict per set.
-
-        Dict order is LRU order (oldest first), exactly the OrderedDict
-        order the scalar path maintains, so a batched engine operating
-        on the exported dicts picks identical LRU victims.  Only valid
-        for tag-only caches (the CPU hierarchy): a resident payload
-        means the caller would silently lose functional state, so that
-        is an error.
-        """
-        out = []
-        for lines in self._sets:
-            for line in lines.values():
-                if line.payload is not None:
-                    raise ValueError(
-                        f"{self.name}: export_sets is tag-only, but a "
-                        "resident line carries a payload"
-                    )
-            out.append(
-                {tag: 1 if line.dirty else 0 for tag, line in lines.items()}
-            )
-        return out
-
-    def import_sets(self, sets) -> None:
-        """Adopt residency/dirty state in :meth:`export_sets` form.
-
-        The inverse interchange: each ``{tag: dirty}`` dict (in LRU
-        order, oldest first) becomes this cache's set content, so a
-        batched engine can hand its final state back and leave the
-        cache bit-equivalent to one driven through :meth:`access`.
-        """
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"{self.name}: expected {self.num_sets} sets, got {len(sets)}"
-            )
-        rebuilt = []
-        for lines in sets:
-            if len(lines) > self.ways:
-                raise ValueError(f"{self.name}: set over associativity")
-            rebuilt.append(OrderedDict(
-                (tag, CacheLine(tag, None, bool(dirty)))
-                for tag, dirty in lines.items()
-            ))
-        self._sets = rebuilt
-
-    def resident_addresses(self):
-        out = []
-        for set_idx, lines in enumerate(self._sets):
-            out.extend(self.address_of(set_idx, tag) for tag in lines)
-        return sorted(out)
+    def resident_addresses(self) -> list:
+        """Byte address of every resident line, sorted."""
+        return sorted(
+            (tag * self.num_sets + set_index) * self.line_size
+            for set_index, lines in enumerate(self.sets)
+            for tag in lines
+        )
 
     def __len__(self) -> int:
-        return sum(len(lines) for lines in self._sets)
+        return sum(len(lines) for lines in self.sets)

@@ -2,9 +2,23 @@
 
 The hierarchy is a tag-only timing filter: the functional data path
 lives behind the memory controller, so the hierarchy's only job is to
-decide which requests reach memory and to charge hit latencies.
-An inclusive, non-exclusive model with write-back/write-allocate
-semantics at every level is used.
+decide which requests reach memory and to charge hit latencies.  The
+batch engine (:mod:`repro.sim.engine`) drives it.  A reference probes
+the levels in order until one hits; every level it missed allocates
+the line (write-allocate) and evicts that set's LRU victim.  A write
+marks the line dirty in every level it probed.
+
+Two simplifications shape the traffic the controller sees:
+
+* the levels are neither inclusive nor exclusive: no eviction
+  invalidates a copy in another level;
+* only the last level writes back.  Its dirty victims become controller
+  writes.  A dirty victim of an upper level is counted in that level's
+  ``dirty_evictions``/``writebacks`` and then dropped, so a store that
+  hits above the last level reaches memory only if the last level's
+  copy is, or later becomes, dirty.  This is a known defect; fixing it
+  changes every pinned simulation output, so it waits for Figure 10's
+  re-record (ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -33,18 +47,8 @@ TABLE3_LEVELS = (
 )
 
 
-@dataclass
-class HierarchyResult:
-    """Outcome of one CPU access through the hierarchy."""
-
-    hit_level: str          # name of level that hit, or "memory"
-    latency_cycles: int     # cycles spent in cache levels
-    memory_read: bool       # an LLC miss requiring a memory fill
-    writebacks: list        # block addresses written back to memory
-
-
 class CacheHierarchy:
-    """Multi-level write-back hierarchy in front of the memory controller."""
+    """The CPU cache levels in front of the memory controller."""
 
     def __init__(
         self,
@@ -62,49 +66,6 @@ class CacheHierarchy:
             for c in self.configs
         ]
         self.line_size = line_size
-
-    def access(self, address: int, is_write: bool) -> HierarchyResult:
-        """Run one load/store through the hierarchy.
-
-        A hit at level i charges the sum of latencies of levels 1..i.
-        A full miss additionally triggers a memory fill; dirty victims
-        evicted from the last level become memory writebacks.
-        """
-        latency = 0
-        writebacks = []
-        for level, (config, cache) in enumerate(zip(self.configs, self.caches)):
-            latency += config.latency_cycles
-            hit, eviction = cache.access(address, is_write=is_write)
-            if eviction and eviction.dirty and level == len(self.caches) - 1:
-                writebacks.append(eviction.address)
-            if hit:
-                # Promote into upper levels (inclusive fill) without
-                # disturbing dirty state there.
-                for upper in self.caches[:level]:
-                    if not upper.contains(address):
-                        upper.access(address, is_write=False)
-                return HierarchyResult(
-                    hit_level=config.name,
-                    latency_cycles=latency,
-                    memory_read=False,
-                    writebacks=writebacks,
-                )
-        return HierarchyResult(
-            hit_level="memory",
-            latency_cycles=latency,
-            memory_read=True,
-            writebacks=writebacks,
-        )
-
-    def flush_dirty(self):
-        """Flush all dirty lines (e.g., at workload end); returns
-        addresses needing memory writeback, LLC last."""
-        dirty = []
-        for cache in self.caches:
-            for eviction in cache.flush_all():
-                if eviction.dirty:
-                    dirty.append(eviction.address)
-        return dirty
 
     @property
     def llc(self) -> SetAssociativeCache:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cache.cache import CacheCounters
 from repro.constants import CACHELINE_BYTES
-from repro.telemetry import CounterMetric
 
 
 @dataclass
@@ -27,26 +27,15 @@ class MetadataEviction:
     way: int
 
 
-def _counter_field(attr):
-    """Property pair exposing a CounterMetric as a plain-int field."""
-
-    def fget(self):
-        return getattr(self, attr).n
-
-    def fset(self, value):
-        getattr(self, attr).n = value
-
-    return property(fget, fset)
-
-
-class MetadataCacheStats:
-    """Metadata-cache counters as a thin view over registry instruments.
+class MetadataCacheStats(CacheCounters):
+    """Metadata-cache counters (``metadata_cache.*``) as a thin view
+    over registry instruments.
 
     Field names match the historical dataclass so consumers (and the
     linear-scan reference implementation in the tests) are unchanged.
     """
 
-    FIELDS = ("hits", "misses", "evictions", "dirty_evictions")
+    PREFIX = "metadata_cache"
 
     _HELP = {
         "hits": "metadata lookups served from the cache",
@@ -54,43 +43,6 @@ class MetadataCacheStats:
         "evictions": "metadata blocks displaced by fills",
         "dirty_evictions": "displaced blocks needing lazy-update writeback",
     }
-
-    def __init__(self, registry=None, prefix: str = "metadata_cache"):
-        for name in self.FIELDS:
-            metric = CounterMetric(f"{prefix}.{name}", help=self._HELP[name])
-            if registry is not None:
-                registry.register(metric)
-            setattr(self, f"_{name}", metric)
-
-    hits = _counter_field("_hits")
-    misses = _counter_field("_misses")
-    evictions = _counter_field("_evictions")
-    dirty_evictions = _counter_field("_dirty_evictions")
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
-    def metrics(self) -> tuple:
-        return tuple(getattr(self, f"_{name}") for name in self.FIELDS)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.FIELDS)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MetadataCacheStats):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{name}={value}" for name, value in zip(self.FIELDS, self._values())
-        )
-        return f"MetadataCacheStats({inner})"
 
 
 class _Slot:

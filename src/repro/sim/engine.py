@@ -1,45 +1,40 @@
-"""Vectorized batched simulation core.
+"""Vectorized batched simulation core: the timing simulator's one loop.
 
-The scalar interpreter loop in :meth:`repro.sim.system.SecureSystem.run`
-pays per-reference Python overhead for every stage of the pipeline:
-generator resumption, address arithmetic, OrderedDict cache probes,
-dataclass allocation for every hierarchy result and eviction, and a
-histogram method call per request.  This module rebuilds that hot path
-as a batched engine:
+:meth:`repro.sim.system.SecureSystem.run` drives every workload through
+:func:`run_batched`, which keeps the per-reference Python work on an L1
+hit down to one dict probe:
 
-* **reference batches** — references drain from the workload generator
-  ``REFERENCE_BATCH`` at a time (``islice`` pulls each batch in C);
-* **array-stage address mapping** — byte address → data block and the
-  per-level (set index, tag) decomposition are computed for the whole
-  batch with numpy int64 vector ops, then handed to the dispatch loop
-  as plain lists (C-speed conversion, Python-int elements);
-* **flat cache state** — each cache level's residency lives in one
-  ``{tag: dirty}`` dict per set (imported from / exported back to the
-  authoritative :class:`~repro.cache.cache.SetAssociativeCache` via
-  ``export_sets``/``import_sets``), so a probe is a dict membership
-  test and an LRU update is ``d[t] = d.pop(t) | w`` — no dataclasses,
-  no OrderedDict, no per-access allocation;
+* **reference batches** — references drain ``REFERENCE_BATCH`` at a
+  time, as slices of the workload's arrays when it has a vectorized
+  generator and through ``islice`` over its generator otherwise;
+* **array-stage address mapping** — the wrap into the data region and
+  the L1 (set index, tag) of every reference are computed for the
+  whole batch with numpy int64 vector ops, then handed to the dispatch
+  loop as plain lists (C-speed conversion, Python-int elements);
+* **the caches' own state** — each level's residency is its
+  :class:`~repro.cache.cache.SetAssociativeCache` ``sets``: one
+  ``{tag: dirty}`` dict per set in LRU order, probed, filled and
+  evicted in place, so a probe is a dict membership test and an LRU
+  update is ``d[t] = d.pop(t) | w`` — no per-access allocation;
 * **batched accounting** — cache hit/miss/eviction counters accumulate
   in local integers and flush to the registry instruments per engine
   pass; per-request latencies collect into per-kind lists and flush
   through :meth:`~repro.telemetry.HistogramMetric.observe_batch`
   (``numpy.searchsorted`` bucketing, sequential-order totals);
 * **residual functional stream** — only LLC misses and dirty LLC
-  writebacks reach the functional secure controller, exactly as in the
-  scalar path, so counter chains, verification, lazy updates, cloning,
-  the oracle, and fault hooks are untouched.
+  writebacks reach the functional secure controller, which runs the
+  counter chains, verification, lazy updates, cloning, the oracle and
+  the fault hooks on that traffic.
 
-Equivalence contract: the engine was developed as a **bit-identical**
-replacement for the original scalar interpreter loop — same
-``SimResult`` (including float fields), same registry snapshots, same
-controller traffic, same per-op event stream.  Float accumulators
-(``cpu_cycles``, ``channel_ns``, histogram totals) are updated with the
-same operations in the same order as that loop, so rounding was
-reproduced exactly rather than approximately.  After several releases
-of differential soak with zero divergence the scalar loop was retired;
-its observable behavior is pinned by the committed replay corpus that
-:mod:`repro.verify.engine_diff` (``repro engine-diff``) checks the
-vector engine against on every run.
+Equivalence contract: the engine's observable behavior — the
+``SimResult`` (float fields included), registry snapshots, controller
+traffic, the per-op event stream and the post-run cache residency — is
+pinned by the committed replay corpus that
+:mod:`repro.verify.engine_diff` (``repro engine-diff``) checks on every
+run.  That corpus was recorded from the scalar interpreter loop this
+engine replaced bit for bit, so the float accumulators (``cpu_cycles``,
+``channel_ns``, histogram totals) must keep their operations and their
+order: a reordered sum diverges from the fixture.
 """
 
 from __future__ import annotations
@@ -52,14 +47,11 @@ import numpy as np
 class BatchEngine:
     """One run's worth of batched simulation state.
 
-    Construction imports the system's cache-hierarchy state into flat
-    per-set dicts and hoists every per-reference constant;
-    :meth:`run` drives the workload to completion and hands back the
-    accounting totals; the hierarchy state is exported back into the
-    authoritative caches before returning, so a ``SecureSystem`` that
-    ran under this engine is indistinguishable from one driven through
-    the scalar loop (flush_dirty, resident_addresses, reuse across
-    runs all keep working).
+    Construction hoists every per-reference constant, including each
+    cache level's ``sets``; :meth:`process` drives a reference source
+    to completion, filling and evicting in those sets in place, and
+    :meth:`flush_counters` folds the pass's counts into each level's
+    ``stats``.
     """
 
     def __init__(self, system, batch_size: int):
@@ -71,8 +63,8 @@ class BatchEngine:
         self.line_size = hierarchy.line_size
         self.num_levels = len(self.caches)
 
-        # Flat residency state: per level, a list of {tag: dirty} dicts.
-        self.level_sets = [cache.export_sets() for cache in self.caches]
+        # Per level, the cache's own list of {tag: dirty} dicts.
+        self.level_sets = [cache.sets for cache in self.caches]
         self.level_ways = [cache.ways for cache in self.caches]
         self.level_num_sets = [cache.num_sets for cache in self.caches]
         self.lat_steps = [c.latency_cycles for c in hierarchy.configs]
@@ -87,10 +79,10 @@ class BatchEngine:
         self.pcm_read_ns = config.pcm_read_ns
         self.pcm_write_ns = config.pcm_write_ns
         self.cycle_ns = config.cycle_ns
-        # Request latency of a hit at level l (no blocking reads) —
-        # spelled exactly like the scalar loop's
-        # ``(latency + 0 * read_latency_cycles) * cycle_ns`` so the
-        # float value is bit-equal.
+        # Request latency of a hit at level l — spelled like the miss
+        # path's ``(latency + blocking_reads * read_latency_cycles) *
+        # cycle_ns`` with no blocking reads, so the float value is
+        # bit-equal to the pinned one.
         self.hit_ns = [
             (lat + 0 * self.read_latency_cycles) * self.cycle_ns
             for lat in cumulative
@@ -135,12 +127,6 @@ class BatchEngine:
             stats.writebacks += writebacks
             deltas[0] = deltas[1] = deltas[2] = deltas[3] = deltas[4] = 0
 
-    def export_state(self) -> None:
-        """Hand the flat residency state back to the authoritative
-        :class:`SetAssociativeCache` instances."""
-        for cache, sets in zip(self.caches, self.level_sets):
-            cache.import_sets(sets)
-
     # -- the hot loop --------------------------------------------------
 
     def _batches(self, source):
@@ -182,9 +168,9 @@ class BatchEngine:
     def process(self, source, emit_op: bool = False) -> None:
         """Drain ``source`` to exhaustion, batch by batch.
 
-        ``emit_op`` replicates the scalar loop's per-op trace event
+        ``emit_op`` emits the per-op trace event before each reference
         (fault injectors and scrubbers subscribe to it); warmup passes
-        run with it off, exactly like the scalar warmup loop.
+        run with it off.
         """
         # Hoist everything the per-reference code touches into locals.
         line_size = self.line_size
@@ -325,8 +311,8 @@ class BatchEngine:
                         read_append(request_hit_ns)
                     continue
 
-                # Residual functional stream: LLC miss (demand read)
-                # and the dirty LLC writeback, in scalar order.
+                # Residual functional stream: LLC miss (demand read),
+                # then the dirty LLC writeback.
                 cost = controller_read(int(address_vec[i]) // 64).cost
                 blocking_reads = cost.blocking_reads
                 posted_writes = cost.posted_writes
@@ -366,10 +352,9 @@ class BatchEngine:
 def run_batched(system, workload, warmup_refs: int = 0, batch_size=None):
     """Execute one workload on ``system`` with the batched engine.
 
-    Drop-in core for :meth:`SecureSystem.run`: returns
-    ``(instructions, memory_requests, cpu_cycles, channel_ns)`` with
-    the controller, registry, and cache hierarchy left in exactly the
-    state the scalar loop would have produced.
+    The core of :meth:`SecureSystem.run`: returns ``(instructions,
+    memory_requests, cpu_cycles, channel_ns)``.  The controller, the
+    registry and the cache hierarchy keep the run's final state.
     """
     from repro.sim.system import REFERENCE_BATCH
 
@@ -394,17 +379,14 @@ def run_batched(system, workload, warmup_refs: int = 0, batch_size=None):
         refs = workload.references()
         warm_source = islice(refs, warmup_refs)
         main_source = refs
-    try:
-        if warmup_refs > 0:
-            engine.process(warm_source, emit_op=False)
-            engine.flush_counters()
-            # Checkpoint: measurement starts from warmed state.
-            system.reset_measurement_stats()
-            engine.reset_accounting()
-        engine.process(main_source, emit_op=system.tracer.wants("op"))
+    if warmup_refs > 0:
+        engine.process(warm_source, emit_op=False)
         engine.flush_counters()
-    finally:
-        engine.export_state()
+        # Checkpoint: measurement starts from warmed state.
+        system.reset_measurement_stats()
+        engine.reset_accounting()
+    engine.process(main_source, emit_op=system.tracer.wants("op"))
+    engine.flush_counters()
     return (
         engine.instructions,
         engine.memory_requests,

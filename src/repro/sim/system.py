@@ -108,8 +108,7 @@ class SecureSystem:
         """
         self.registry.reset()
 
-    def run(self, workload, warmup_refs: int = 0, op_hook=None,
-            verify=False) -> SimResult:
+    def run(self, workload, warmup_refs: int = 0, verify=False) -> SimResult:
         """Run one workload's reference stream to completion.
 
         ``warmup_refs`` replicates the paper's methodology ("we create
@@ -118,13 +117,11 @@ class SecureSystem:
         afterwards"): the first N references warm the caches and
         metadata state, then every statistic resets before measurement.
 
-        ``op_hook(op_index)``, when given, is subscribed to the
-        tracer's ``"op"`` event for the duration of the run and called
-        before each post-warmup reference — the attachment point for
-        online fault injection (:class:`~repro.faults.FaultInjector.poll`)
-        and background scrubbing
-        (:class:`~repro.controller.MetadataScrubber.tick`).  New code
-        can subscribe to ``system.tracer`` directly instead.
+        The run emits the tracer's ``"op"`` event (field ``index``,
+        counted from 0 after warmup) before each post-warmup reference:
+        subscribe to ``system.tracer`` to attach online fault injection
+        (:meth:`~repro.faults.FaultInjector.poll`) or background
+        scrubbing (:meth:`~repro.controller.MetadataScrubber.tick`).
 
         ``verify`` attaches a differential
         :class:`~repro.verify.VerifySession` (golden oracle + invariant
@@ -150,19 +147,9 @@ class SecureSystem:
             options = verify if isinstance(verify, dict) else {}
             session = VerifySession(controller, **options).attach()
 
-        tracer = self.tracer
-        hook = None
-        if op_hook is not None:
-            def hook(event):
-                op_hook(event.index)
-            tracer.subscribe("op", hook)
-        try:
-            from repro.sim.engine import run_batched
+        from repro.sim.engine import run_batched
 
-            totals = run_batched(self, workload, warmup_refs)
-        finally:
-            if hook is not None:
-                tracer.unsubscribe("op", hook)
+        totals = run_batched(self, workload, warmup_refs)
 
         verify_report = None
         if session is not None:

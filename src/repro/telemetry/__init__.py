@@ -8,6 +8,8 @@ from repro.telemetry.registry import (
     HistogramMetric,
     LabeledCounterMetric,
     MetricRegistry,
+    counter_field,
+    gauge_field,
 )
 from repro.telemetry.trace import TraceEvent, Tracer
 
@@ -20,6 +22,8 @@ __all__ = [
     "SCHEMA_VERSION",
     "TraceEvent",
     "Tracer",
+    "counter_field",
     "default_manifest",
+    "gauge_field",
     "manifest_json",
 ]

@@ -126,6 +126,32 @@ class GaugeMetric:
         return f"GaugeMetric({self.name!r}, v={self.v})"
 
 
+def counter_field(attr: str) -> property:
+    """Property pair exposing the CounterMetric at ``self.<attr>`` as a
+    plain-int field (the stat views' historical dataclass fields)."""
+
+    def fget(self):
+        return getattr(self, attr).n
+
+    def fset(self, value):
+        getattr(self, attr).n = value
+
+    return property(fget, fset)
+
+
+def gauge_field(attr: str) -> property:
+    """Property pair exposing the GaugeMetric at ``self.<attr>`` as a
+    plain field."""
+
+    def fget(self):
+        return getattr(self, attr).v
+
+    def fset(self, value):
+        getattr(self, attr).v = value
+
+    return property(fget, fset)
+
+
 class LabeledCounterMetric(Counter):
     """A counter family keyed by one label (kind, tree level, ...).
 

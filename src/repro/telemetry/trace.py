@@ -10,11 +10,9 @@ a single attribute check (``tracer.enabled``), so tracing-disabled runs
 pay nothing measurable.  Subscribing to *any* event kind flips
 ``enabled``; ``emit`` then filters by kind.
 
-The tracer replaces the bespoke ``op_hook`` parameter of
-``SecureSystem.run``: the run loop emits an ``"op"`` event before every
-post-warmup reference, and fault injectors / background scrubbers
-subscribe to it (``op_hook`` still works — it is subscribed to ``"op"``
-for the duration of the run).
+``SecureSystem.run`` emits an ``"op"`` event before every post-warmup
+reference; fault injectors and background scrubbers attach to a run by
+subscribing to it.
 """
 
 from __future__ import annotations

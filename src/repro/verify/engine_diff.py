@@ -21,7 +21,7 @@ three surfaces and compares everything against the fixture:
   standard generators (the same grid family ``repro bench`` and the
   figures pin);
 * **chaos** — fault-injection runs wired through the per-op trace
-  event (:class:`~repro.faults.FaultInjector` polled from ``op_hook``),
+  event (:class:`~repro.faults.FaultInjector` subscribed to ``"op"``),
   where the engine must corrupt the same blocks at the same op indices
   and surface the same outcome — including raising the same typed
   error at the same point when the damage is fatal.
@@ -119,8 +119,8 @@ def _normalize(payload):
 def _observe(build) -> dict:
     """Everything observable about one run of the vector engine.
 
-    Cache residency (every resident address per level, in LRU order)
-    is folded to a sha256 digest so the committed fixture stays small
+    Cache residency (every resident address per level, sorted) is
+    folded to a sha256 digest so the committed fixture stays small
     while still pinning the exact post-run cache state.
     """
     system, workload, kwargs = build()
@@ -244,8 +244,8 @@ def sweep_cases(refs: int = 4000, quick: bool = False) -> list:
 def chaos_cases(refs: int = 4000) -> list:
     """Fault-injection runs through the per-op trace event.
 
-    The injector is polled from ``op_hook`` — i.e. from the ``"op"``
-    event the engine emits per post-warmup reference — so corruption
+    The injector is polled from the tracer's ``"op"`` event, which the
+    engine emits per post-warmup reference, so corruption
     lands at pinned op indices; the engine must then reproduce every
     downstream consequence the fixture recorded (repairs, quarantines,
     or the same typed error at the same op).
@@ -275,7 +275,10 @@ def chaos_cases(refs: int = 4000) -> list:
                              "num_refs": refs}),
                 seed=seed + 1,
             )
-            return system, workload, {"op_hook": injector.poll}
+            system.tracer.subscribe(
+                "op", lambda event: injector.poll(event.index)
+            )
+            return system, workload, {}
 
         cases.append({
             "name": f"chaos:{label}/{scheme}",

@@ -16,7 +16,6 @@ pointer-chasing / streaming / mixed patterns (SPEC CPU 2006).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -61,23 +60,6 @@ class Workload:
             np.asarray(writes, dtype=bool),
             np.asarray(gaps, dtype=np.int64),
         )
-
-    def reference_batches(self, batch_size: int = 8192):
-        """The same stream, drained into successive lists.
-
-        The simulator's hot loop iterates plain lists instead of
-        resuming a generator frame per reference; ``islice`` pulls each
-        batch in C.  Reference order is identical to
-        :meth:`references`.
-        """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        refs = self.references()
-        while True:
-            batch = list(islice(refs, batch_size))
-            if not batch:
-                return
-            yield batch
 
     def materialize(self) -> list:
         """The whole trace as a list (for tests and trace mixing)."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.telemetry import CounterMetric, GaugeMetric
+from repro.telemetry import CounterMetric, GaugeMetric, counter_field, gauge_field
 from repro.workloads.base import Workload
 
 
@@ -73,33 +73,13 @@ class TraceStats:
         self._top_block_share.v = top_block_share
         self._sequential_fraction.v = sequential_fraction
 
-    def _make_counter_field(attr):  # noqa: N805 - property factory
-        def fget(self):
-            return getattr(self, attr).n
-
-        def fset(self, value):
-            getattr(self, attr).n = value
-
-        return property(fget, fset)
-
-    def _make_gauge_field(attr):  # noqa: N805 - property factory
-        def fget(self):
-            return getattr(self, attr).v
-
-        def fset(self, value):
-            getattr(self, attr).v = value
-
-        return property(fget, fset)
-
-    references = _make_counter_field("_references")
-    writes = _make_counter_field("_writes")
-    unique_blocks = _make_counter_field("_unique_blocks")
-    footprint_bytes = _make_counter_field("_footprint_bytes")
-    mean_gap = _make_gauge_field("_mean_gap")
-    top_block_share = _make_gauge_field("_top_block_share")
-    sequential_fraction = _make_gauge_field("_sequential_fraction")
-
-    del _make_counter_field, _make_gauge_field
+    references = counter_field("_references")
+    writes = counter_field("_writes")
+    unique_blocks = counter_field("_unique_blocks")
+    footprint_bytes = counter_field("_footprint_bytes")
+    mean_gap = gauge_field("_mean_gap")
+    top_block_share = gauge_field("_top_block_share")
+    sequential_fraction = gauge_field("_sequential_fraction")
 
     def metrics(self) -> tuple:
         return self._metrics

@@ -1,4 +1,9 @@
-"""Tests for the generic cache, CPU hierarchy, and metadata cache."""
+"""Tests for the CPU caches, their hierarchy, and the metadata cache.
+
+The CPU caches have one driver, the batch engine, so their tests run
+hand-written reference traces through ``SecureSystem.run`` on tiny
+hierarchies and read the caches' counters and residency afterwards.
+"""
 
 import numpy as np
 import pytest
@@ -12,73 +17,84 @@ from repro.cache import (
     SetAssociativeCache,
 )
 from repro.cache.metadata_cache import MetadataCacheStats, MetadataEviction
+from repro.sim import SecureSystem, SystemConfig
+from repro.workloads.trace import Trace
+
+
+def _trace(refs):
+    """Hand-written ``(byte address, is_write)`` references as a
+    workload, with no instructions between them."""
+    return Trace(
+        "hand-written", [(address, write, 0) for address, write in refs]
+    ).as_workload()
+
+
+def _reads(*addresses):
+    return [(address, False) for address in addresses]
+
+
+def _system(levels):
+    """A 1 MB baseline system whose CPU caches are ``levels``."""
+    return SecureSystem(
+        "baseline",
+        config=SystemConfig(cache_levels=levels, memory_bytes=1 << 20),
+        rng=np.random.default_rng(0),
+    )
+
+
+def _run(levels, refs):
+    """Run ``_trace(refs)`` through ``_system(levels)``; returns the
+    system and its ``SimResult``."""
+    system = _system(levels)
+    return system, system.run(_trace(refs))
 
 
 class TestSetAssociativeCache:
-    @pytest.fixture
-    def cache(self):
-        # 4 sets x 2 ways x 64B = 512B
-        return SetAssociativeCache(size_bytes=512, ways=2)
+    """One cache level, which is also the last: 4 sets x 2 ways x 64 B.
+    Addresses 0, 256, 512 and 768 share set 0."""
 
-    def test_miss_then_hit(self, cache):
-        hit, ev = cache.access(0)
-        assert not hit and ev is None
-        hit, ev = cache.access(0)
-        assert hit
+    LEVELS = (LevelConfig("LLC", 512, 2, 5),)
 
-    def test_unaligned_access_maps_to_line(self, cache):
-        cache.access(0)
-        hit, _ = cache.access(63)
-        assert hit
+    def _llc_after(self, refs):
+        """The controller's stats and the cache after running ``refs``."""
+        system, _ = _run(self.LEVELS, refs)
+        return system.controller.stats, system.hierarchy.llc
 
-    def test_lru_eviction(self, cache):
-        # Addresses 0, 256, 512 share set 0 (4 sets * 64B stride = 256B).
-        cache.access(0)
-        cache.access(256)
-        cache.access(0)      # make 256 the LRU
-        hit, ev = cache.access(512)
-        assert not hit
-        assert ev is not None and ev.address == 256
+    def test_miss_then_hit(self):
+        controller, cache = self._llc_after(_reads(0, 0))
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        assert cache.stats.evictions == 0
+        assert controller.data_reads == 1
 
-    def test_dirty_eviction_flagged(self, cache):
-        cache.access(0, is_write=True)
-        cache.access(256)
-        _, ev = cache.access(512)
-        assert ev.address == 0 and ev.dirty
+    def test_unaligned_access_maps_to_line(self):
+        _, cache = self._llc_after(_reads(0, 63))
+        assert cache.stats.hits == 1
+        assert cache.resident_addresses() == [0]
 
-    def test_write_hit_sets_dirty(self, cache):
-        cache.access(0)
-        cache.access(0, is_write=True)
-        ev = cache.invalidate(0)
-        assert ev.dirty
+    def test_lru_eviction(self):
+        _, cache = self._llc_after(_reads(0, 256, 0, 512))  # 256 is the LRU
+        assert cache.stats.evictions == 1
+        assert cache.resident_addresses() == [0, 512]
 
-    def test_payload_stored_and_updated(self, cache):
-        cache.access(0, payload="v1")
-        assert cache.peek(0) == "v1"
-        cache.update_payload(0, "v2")
-        assert cache.peek(0) == "v2"
-        with pytest.raises(KeyError):
-            cache.update_payload(64, "x")
+    def test_dirty_eviction_flagged(self):
+        controller, cache = self._llc_after([(0, True)] + _reads(256, 512))
+        assert cache.stats.dirty_evictions == 1
+        assert cache.resident_addresses() == [256, 512]
+        assert controller.data_writes == 1
 
-    def test_flush_all(self, cache):
-        cache.access(0, is_write=True)
-        cache.access(64)
-        evs = cache.flush_all()
-        assert len(evs) == 2
-        assert len(cache) == 0
+    def test_write_hit_sets_dirty(self):
+        controller, cache = self._llc_after(
+            _reads(0) + [(0, True)] + _reads(256, 512)
+        )
+        assert cache.stats.hits == 1
+        assert cache.stats.dirty_evictions == 1
+        assert controller.data_writes == 1
 
-    def test_stats(self, cache):
-        cache.access(0)
-        cache.access(0)
-        cache.access(64)
+    def test_stats(self):
+        _, cache = self._llc_after(_reads(0, 0, 64))
         assert cache.stats.hits == 1
         assert cache.stats.misses == 2
         assert 0 < cache.stats.miss_rate < 1
-
-    def test_address_roundtrip(self, cache):
-        for addr in (0, 64, 256, 1024, 4096):
-            s, t = cache.set_index(addr), cache.tag_of(addr)
-            assert cache.address_of(s, t) == addr
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -86,96 +102,130 @@ class TestSetAssociativeCache:
         with pytest.raises(ValueError):
             SetAssociativeCache(size_bytes=0, ways=2)
 
-    def test_writebacks_track_dirty_evictions(self, cache):
-        """Pinned semantics: ``writebacks`` counts dirty victims pushed
-        out on the access path, in lockstep with ``dirty_evictions``
-        (regression: the counter used to be dead, never incremented)."""
-        cache.access(0, is_write=True)
-        cache.access(256)
-        cache.access(512)            # evicts dirty 0 -> writeback
-        assert cache.stats.writebacks == 1
-        assert cache.stats.dirty_evictions == 1
-        cache.access(768)            # evicts clean 256 -> no writeback
-        assert cache.stats.writebacks == 1
-        # Explicit drops (invalidate/flush) hand the dirty line to the
-        # caller; they are not counted as this cache's writebacks.
-        cache.access(0, is_write=True)
-        cache.invalidate(0)
-        cache.access(64, is_write=True)
-        cache.flush_all()
-        assert cache.stats.writebacks == cache.stats.dirty_evictions
+    def test_writebacks_track_dirty_evictions(self):
+        """Pinned semantics: ``writebacks`` counts dirty victims, in
+        lockstep with ``dirty_evictions`` (regression: the counter used
+        to be dead, never incremented)."""
+        controller, cache = self._llc_after(
+            [(0, True)] + _reads(256, 512)   # evicts dirty 0
+            + _reads(768)                    # evicts clean 256
+        )
+        assert cache.stats.evictions == 2
+        assert cache.stats.writebacks == cache.stats.dirty_evictions == 1
+        assert controller.data_writes == 1
 
     @settings(max_examples=30, deadline=None)
     @given(ops=st.lists(
         st.tuples(st.integers(min_value=0, max_value=15), st.booleans()),
-        max_size=300,
+        min_size=20, max_size=300,
     ))
     def test_property_writebacks_equal_dirty_evictions(self, ops):
-        cache = SetAssociativeCache(size_bytes=512, ways=2)
-        for block, is_write in ops:
-            cache.access(block * 64, is_write=is_write)
+        controller, cache = self._llc_after(
+            [(block * 64, write) for block, write in ops]
+        )
         assert cache.stats.writebacks == cache.stats.dirty_evictions
+        assert controller.data_writes == cache.stats.dirty_evictions
 
     @settings(max_examples=30, deadline=None)
-    @given(addrs=st.lists(st.integers(min_value=0, max_value=63), max_size=200))
-    def test_property_occupancy_bounded(self, addrs):
-        cache = SetAssociativeCache(size_bytes=512, ways=2)
-        for a in addrs:
-            cache.access(a * 64)
+    @given(blocks=st.lists(
+        st.integers(min_value=0, max_value=63), min_size=20, max_size=200,
+    ))
+    def test_property_occupancy_bounded(self, blocks):
+        _, cache = self._llc_after(_reads(*(block * 64 for block in blocks)))
+        assert all(len(lines) <= cache.ways for lines in cache.sets)
         assert len(cache) <= 8  # 4 sets x 2 ways
+        assert len(cache) == len(cache.resident_addresses())
 
     @settings(max_examples=30, deadline=None)
-    @given(addrs=st.lists(st.integers(min_value=0, max_value=31), max_size=100))
-    def test_property_recent_line_always_resident(self, addrs):
-        cache = SetAssociativeCache(size_bytes=512, ways=2)
-        for a in addrs:
-            cache.access(a * 64)
-            assert cache.contains(a * 64)
+    @given(blocks=st.lists(
+        st.integers(min_value=0, max_value=31), min_size=1, max_size=100,
+    ))
+    def test_property_recent_line_always_resident(self, blocks):
+        _, cache = self._llc_after(_reads(*(block * 64 for block in blocks)))
+        assert blocks[-1] * 64 in cache.resident_addresses()
 
 
 class TestCacheHierarchy:
-    @pytest.fixture
-    def hierarchy(self):
-        levels = (
-            LevelConfig("L1", 256, 2, 2),
-            LevelConfig("L2", 1024, 4, 10),
-        )
-        return CacheHierarchy(levels=levels)
+    """L1: 2 sets x 2 ways; L2: 4 sets x 4 ways.  Addresses 0, 128, 256
+    and 384 share L1's set 0 and fall in L2's sets 0 and 2."""
 
-    def test_first_access_misses_to_memory(self, hierarchy):
-        res = hierarchy.access(0, is_write=False)
-        assert res.hit_level == "memory"
-        assert res.memory_read
-        assert res.latency_cycles == 12
+    LEVELS = (
+        LevelConfig("L1", 256, 2, 2),
+        LevelConfig("L2", 1024, 4, 10),
+    )
 
-    def test_second_access_hits_l1(self, hierarchy):
-        hierarchy.access(0, is_write=False)
-        res = hierarchy.access(0, is_write=False)
-        assert res.hit_level == "L1"
-        assert res.latency_cycles == 2
-        assert not res.memory_read
+    def test_first_access_misses_to_memory(self):
+        system, _ = _run(self.LEVELS, _reads(0))
+        l1, l2 = system.hierarchy.caches
+        assert l1.stats.misses == l2.stats.misses == 1
+        assert system.controller.stats.data_reads == 1
 
-    def test_l2_hit_promotes_to_l1(self, hierarchy):
-        hierarchy.access(0, is_write=False)
-        # Evict 0 from tiny L1 (2 sets x 2 ways) with conflicting lines.
-        for addr in (128, 256, 384):
-            hierarchy.access(addr, is_write=False)
-        res = hierarchy.access(0, is_write=False)
-        assert res.hit_level in ("L1", "L2")
-        res2 = hierarchy.access(0, is_write=False)
-        assert res2.hit_level == "L1"
+    def test_second_access_hits_l1(self):
+        _, once = _run(self.LEVELS, _reads(0))
+        system, twice = _run(self.LEVELS, _reads(0, 0))
+        l1, l2 = system.hierarchy.caches
+        assert l1.stats.hits == 1
+        assert l2.stats.accesses == 1
+        assert system.controller.stats.data_reads == 1
+        # The repeat is charged L1's 2 cycles and nothing else.
+        assert twice.cpu_cycles - once.cpu_cycles == 2
+
+    def test_l2_hit_promotes_to_l1(self):
+        # 128, 256 and 384 push 0 out of L1's set 0; L2 keeps it.
+        system, _ = _run(self.LEVELS, _reads(0, 128, 256, 384, 0, 0))
+        l1, l2 = system.hierarchy.caches
+        assert l2.stats.hits == 1
+        assert l1.stats.hits == 1
+        assert 0 in l1.resident_addresses()
+        assert system.controller.stats.data_reads == 4
 
     def test_dirty_llc_eviction_produces_writeback(self):
-        levels = (LevelConfig("LLC", 128, 1, 5),)  # 2 sets x 1 way
-        h = CacheHierarchy(levels=levels)
-        h.access(0, is_write=True)
-        res = h.access(128, is_write=False)  # same set, evicts dirty 0
-        assert 0 in res.writebacks
+        system = _system((LevelConfig("LLC", 128, 1, 5),))  # 2 sets x 1 way
+        written = []
+        system.tracer.subscribe("data_write", lambda e: written.append(e.block))
+        system.run(_trace([(0, True)] + _reads(128)))  # 128 evicts dirty 0
+        assert written == [0]
+        assert system.controller.stats.data_writes == 1
+        assert system.hierarchy.llc.resident_addresses() == [128]
 
-    def test_flush_dirty(self, hierarchy):
-        hierarchy.access(0, is_write=True)
-        dirty = hierarchy.flush_dirty()
-        assert 0 in dirty
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: dirty L1/L2 victims are dropped, not written "
+        "into the next level"
+    ))
+    def test_dirty_l1_victim_is_written_back(self):
+        """A store reaches memory whether it missed or hit L1.  L1 is
+        one line and L2 one set of 4 ways, so 7 conflicting reads push
+        block 0 out of both levels."""
+        levels = (LevelConfig("L1", 64, 1, 2), LevelConfig("L2", 256, 4, 10))
+        conflicting = _reads(*range(64, 8 * 64, 64))
+        write_miss, _ = _run(levels, [(0, True)] + conflicting)
+        assert write_miss.controller.stats.data_writes == 1
+        write_hit, _ = _run(levels, _reads(0) + [(0, True)] + conflicting)
+        assert write_hit.controller.stats.data_writes == 1
+
+    @settings(max_examples=50, deadline=None)
+    @given(refs=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=31), st.booleans()),
+        min_size=1, max_size=200,
+    ))
+    def test_property_counters_and_residency(self, refs):
+        """On any trace the counters agree with each other and with the
+        controller's traffic, no set overflows, and the line referenced
+        last is in L1."""
+        system, _ = _run(
+            self.LEVELS, [(block * 64, write) for block, write in refs]
+        )
+        caches = system.hierarchy.caches
+        for cache in caches:
+            assert cache.stats.writebacks == cache.stats.dirty_evictions
+            assert len(cache) <= cache.num_sets * cache.ways
+        assert refs[-1][0] * 64 in caches[0].resident_addresses()
+        assert caches[0].stats.accesses == len(refs)
+        controller = system.controller.stats
+        assert controller.data_reads == system.hierarchy.llc.stats.misses
+        assert controller.data_writes == (
+            system.hierarchy.llc.stats.dirty_evictions
+        )
 
     def test_requires_levels(self):
         with pytest.raises(ValueError):

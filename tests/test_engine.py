@@ -20,6 +20,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.cache
+from repro.cache import CacheHierarchy, SetAssociativeCache
 from repro.sim import SecureSystem, SystemConfig
 from repro.sim import engine as sim_engine
 from repro.sim.engine import run_batched
@@ -31,6 +33,7 @@ from repro.verify.engine_diff import (
     run_engine_diff,
 )
 from repro.workloads import make_workload
+from repro.workloads.base import Workload
 
 GCC = ("gcc", (), {"footprint_bytes": 1 << 20, "num_refs": 1500})
 UBENCH = ("ubench", (128,), {"footprint_bytes": 1 << 20, "num_refs": 1500})
@@ -75,9 +78,21 @@ class TestEngineSelection:
 
     def test_scalar_loop_is_gone(self):
         assert not hasattr(SecureSystem, "_run_scalar")
-        assert "engine" not in inspect.signature(SecureSystem.run).parameters
+        parameters = inspect.signature(SecureSystem.run).parameters
+        assert "engine" not in parameters and "op_hook" not in parameters
         for name in ("resolve_engine", "default_engine", "ENGINE_ENV_VAR"):
             assert not hasattr(sim_engine, name)
+        assert not hasattr(sim_engine.BatchEngine, "export_state")
+        assert not hasattr(Workload, "reference_batches")
+        # The cache model that only the scalar loop drove.
+        for name in ("CacheLine", "Eviction", "HierarchyResult"):
+            assert not hasattr(repro.cache, name)
+        for name in ("contains", "peek", "access", "update_payload",
+                     "invalidate", "flush_all", "export_sets",
+                     "import_sets", "set_index", "tag_of", "address_of"):
+            assert not hasattr(SetAssociativeCache, name)
+        for name in ("access", "flush_dirty"):
+            assert not hasattr(CacheHierarchy, name)
 
 
 class TestEngineInvariance:
@@ -123,7 +138,7 @@ class TestEngineInvariance:
         assert all(o == observations[0] for o in observations[1:])
 
     def test_hierarchy_state_reusable_after_run(self):
-        """export_state leaves the caches authoritative: a second run
+        """The engine runs on the caches' own sets: a second run
         layered on a warmed system is deterministic — warm-then-run
         twice from the same seeds produces identical observations."""
         finals = []

@@ -183,16 +183,6 @@ class TestSecureSystem:
         )
         assert asdict(direct) == asdict(threaded["baseline"])
 
-    def test_reference_batches_match_stream(self):
-        workload = gcc(footprint_bytes=1 << 20, num_refs=1000)
-        flat = [
-            ref for batch in workload.reference_batches(batch_size=64)
-            for ref in batch
-        ]
-        assert flat == workload.materialize()
-        with pytest.raises(ValueError):
-            next(workload.reference_batches(batch_size=0))
-
     def test_functional_crypto_mode_matches_fast_mode_traffic(self, config):
         fast = SecureSystem("src", config=config, functional_crypto=False).run(
             ubench(128, footprint_bytes=2 << 20, num_refs=1500)

@@ -205,16 +205,17 @@ class TestSystemTelemetry:
         assert list(result.reads_by_kind) == sorted(result.reads_by_kind)
         assert list(result.evictions_by_level) == sorted(result.evictions_by_level)
 
-    def test_op_hook_back_compat(self, config):
+    def test_op_events_index_post_warmup_references(self, config):
+        """``"op"`` events start after warmup and count from 0 — the
+        op indices fault injectors and scrubbers schedule against."""
         system = SecureSystem("baseline", config=config)
         seen = []
+        system.tracer.subscribe("op", lambda e: seen.append(e.index))
         system.run(
-            ubench(64, footprint_bytes=1 << 20, num_refs=300),
-            op_hook=seen.append,
+            ubench(64, footprint_bytes=1 << 20, num_refs=400),
+            warmup_refs=100,
         )
         assert seen == list(range(300))
-        # The temporary subscription is removed when run() returns.
-        assert system.tracer.enabled is False
 
     def test_tracer_emits_structured_op_events(self, config):
         system = SecureSystem("baseline", config=config)
