@@ -18,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 from repro.sim import SecureSystem, SystemConfig, run_schemes
-from repro.workloads import Trace, interleave, standard_suite
+from repro.workloads import Trace, interleave, make_workload, standard_suite_specs
 
 MB = 1 << 20
 
@@ -29,8 +29,8 @@ def main():
               f"{'seq':>6} {'hot blk':>8}")
     print(header)
     traces = {}
-    for factory in standard_suite(footprint_bytes=8 * MB, num_refs=8_000):
-        trace = Trace.from_workload(factory())
+    for spec in standard_suite_specs(footprint_bytes=8 * MB, num_refs=8_000):
+        trace = Trace.from_workload(make_workload(spec))
         traces[trace.name] = trace
         s = trace.stats()
         print(f"{trace.name:>12} {s.write_fraction*100:>6.1f}% "

@@ -22,7 +22,7 @@ from repro.analysis import (
 from repro.faults import FaultSimConfig, FaultSimulator, mtbf_hours
 from repro.schemes import PAPER_SCHEMES
 from repro.sim import SystemConfig, run_schemes
-from repro.workloads import standard_suite
+from repro.workloads import standard_suite_specs
 
 TB = 1 << 40
 MB = 1 << 20
@@ -48,10 +48,10 @@ def run_perf_campaign(
     """
     config = SystemConfig.scaled(memory_mb=memory_mb)
     campaign = {}
-    for factory in standard_suite(
+    for spec in standard_suite_specs(
         footprint_bytes=footprint_bytes, num_refs=num_refs
     ):
-        results = run_schemes(factory, schemes=schemes, config=config)
+        results = run_schemes(spec, schemes=schemes, config=config)
         campaign[results[schemes[0]].workload] = results
     return campaign
 

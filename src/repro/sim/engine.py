@@ -4,9 +4,9 @@
 :func:`run_batched`, which keeps the per-reference Python work on an L1
 hit down to one dict probe:
 
-* **reference batches** — references drain ``REFERENCE_BATCH`` at a
-  time, as slices of the workload's arrays when it has a vectorized
-  generator and through ``islice`` over its generator otherwise;
+* **reference batches** — the workload's stream is three arrays
+  (:meth:`~repro.workloads.Workload.reference_arrays`), drained as
+  ``REFERENCE_BATCH``-long slices;
 * **array-stage address mapping** — the wrap into the data region and
   the L1 (set index, tag) of every reference are computed for the
   whole batch with numpy int64 vector ops, then handed to the dispatch
@@ -20,7 +20,9 @@ hit down to one dict probe:
   in local integers and flush to the registry instruments per engine
   pass; per-request latencies collect into per-kind lists and flush
   through :meth:`~repro.telemetry.HistogramMetric.observe_batch`
-  (``numpy.searchsorted`` bucketing, sequential-order totals);
+  (``numpy.searchsorted`` bucketing, sequential-order totals).  A
+  run that raises still folds the references it touched, so the
+  registry agrees with the caches' residency;
 * **residual functional stream** — only LLC misses and dirty LLC
   writebacks reach the functional secure controller, which runs the
   counter chains, verification, lazy updates, cloning, the oracle and
@@ -38,8 +40,6 @@ order: a reordered sum diverges from the fixture.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 import numpy as np
 
@@ -129,44 +129,24 @@ class BatchEngine:
 
     # -- the hot loop --------------------------------------------------
 
-    def _batches(self, source):
-        """Yield ``(address_vec, writes, gaps, n)`` per reference batch.
-
-        ``source`` is either an iterator of ``(address, is_write,
-        gap)`` tuples (the workload-generator path) or an
-        ``(addresses, writes, gaps)`` numpy-array triple (the
-        vectorized-generation path); both normalize to an int64
-        address vector plus plain-Python ``writes``/``gaps`` lists so
-        the dispatch loop sees identical types either way.
-        """
-        batch_size = self.batch_size
-        if isinstance(source, tuple):
-            addresses, is_writes, gap_array = source
-            total = len(addresses)
-            for start in range(0, total, batch_size):
-                stop = min(start + batch_size, total)
-                yield (
-                    addresses[start:stop].astype(np.int64, copy=True),
-                    is_writes[start:stop].astype(np.intp).tolist(),
-                    gap_array[start:stop].tolist(),
-                    stop - start,
-                )
-            return
-        while True:
-            batch = list(islice(source, batch_size))
-            if not batch:
-                return
-            n = len(batch)
-            raw_addresses, raw_writes, gaps = zip(*batch)
+    def _batches(self, arrays):
+        """Yield ``(address_vec, writes, gaps, n)`` per reference batch
+        of an ``(addresses, writes, gaps)`` array triple: a fresh int64
+        address vector (the dispatch loop wraps it in place) plus
+        plain-Python ``writes``/``gaps`` lists."""
+        addresses, is_writes, gap_array = arrays
+        total = len(addresses)
+        for start in range(0, total, self.batch_size):
+            stop = min(start + self.batch_size, total)
             yield (
-                np.fromiter(raw_addresses, dtype=np.int64, count=n),
-                np.fromiter(raw_writes, dtype=np.intp, count=n).tolist(),
-                gaps,
-                n,
+                addresses[start:stop].astype(np.int64, copy=True),
+                is_writes[start:stop].astype(np.intp).tolist(),
+                gap_array[start:stop].tolist(),
+                stop - start,
             )
 
-    def process(self, source, emit_op: bool = False) -> None:
-        """Drain ``source`` to exhaustion, batch by batch.
+    def process(self, arrays, emit_op: bool = False) -> None:
+        """Drain an ``(addresses, writes, gaps)`` triple, batch by batch.
 
         ``emit_op`` emits the per-op trace event before each reference
         (fault injectors and scrubbers subscribe to it); warmup passes
@@ -220,7 +200,7 @@ class BatchEngine:
         cpu_cycles = self.cpu_cycles
         channel_ns = self.channel_ns
 
-        for address_vec, writes, gaps, n in self._batches(source):
+        for address_vec, writes, gaps, n in self._batches(arrays):
             # Array stage: byte address → L1 (set index, tag) for the
             # whole batch; everything below L1 (lower-level set/tag,
             # controller block) derives on the miss path only.
@@ -236,112 +216,122 @@ class BatchEngine:
 
             instructions += sum(gaps) + n
             misses0 = evictions0 = dirty0 = 0
+            miss_at = -1  # index of the batch's latest L1 miss
 
-            for i, wi, gap, set_index, tag in zip(
-                range(n), writes, gaps, set0_idx, tags0
-            ):
-                if emit_op:
-                    tracer_emit("op", index=op_index + i)
-                lines = sets0[set_index]
-                prev = lines.pop(tag, None)
-                if prev is not None:
-                    # L1 hit — the fast path (single dict probe).
-                    lines[tag] = prev | wi
-                    cpu_cycles += gap
-                    cpu_cycles += lat0
-                    if wi:
-                        write_append(hit_ns0)
-                    else:
-                        read_append(hit_ns0)
-                    continue
-
-                # L1 miss: evict + fill, then walk the lower levels.
-                misses0 += 1
-                writeback_block = -1
-                if len(lines) >= ways0:
-                    victim_tag = next(iter(lines))
-                    victim_dirty = lines.pop(victim_tag)
-                    evictions0 += 1
-                    if victim_dirty:
-                        dirty0 += 1
-                        if l0_is_last:
-                            writeback_block = (
-                                (victim_tag * num_sets_last + set_index)
-                                * line_size
-                            ) // 64
-                lines[tag] = wi
-
-                line = tag * num_sets0 + set_index
-                latency = lat0
-                request_hit_ns = -1.0
-                for (level_sets, level_num, level_ways, lat_step,
-                     level_hit_ns, level_deltas, is_last) in walk:
-                    latency += lat_step
-                    level_set_index = line % level_num
-                    level_tag = line // level_num
-                    level_lines = level_sets[level_set_index]
-                    prev = level_lines.pop(level_tag, None)
+            try:
+                for i, wi, gap, set_index, tag in zip(
+                    range(n), writes, gaps, set0_idx, tags0
+                ):
+                    if emit_op:
+                        tracer_emit("op", index=op_index + i)
+                    lines = sets0[set_index]
+                    prev = lines.pop(tag, None)
                     if prev is not None:
-                        level_lines[level_tag] = prev | wi
-                        level_deltas[0] += 1
-                        request_hit_ns = level_hit_ns
-                        break
-                    level_deltas[1] += 1
-                    if len(level_lines) >= level_ways:
-                        victim_tag = next(iter(level_lines))
-                        victim_dirty = level_lines.pop(victim_tag)
-                        level_deltas[2] += 1
+                        # L1 hit — the fast path (single dict probe).
+                        lines[tag] = prev | wi
+                        cpu_cycles += gap
+                        cpu_cycles += lat0
+                        if wi:
+                            write_append(hit_ns0)
+                        else:
+                            read_append(hit_ns0)
+                        continue
+
+                    # L1 miss: evict + fill, then walk the lower levels.
+                    misses0 += 1
+                    miss_at = i
+                    writeback_block = -1
+                    if len(lines) >= ways0:
+                        victim_tag = next(iter(lines))
+                        victim_dirty = lines.pop(victim_tag)
+                        evictions0 += 1
                         if victim_dirty:
-                            level_deltas[3] += 1
-                            level_deltas[4] += 1
-                            if is_last:
+                            dirty0 += 1
+                            if l0_is_last:
                                 writeback_block = (
-                                    (victim_tag * num_sets_last
-                                     + level_set_index) * line_size
+                                    (victim_tag * num_sets_last + set_index)
+                                    * line_size
                                 ) // 64
-                    level_lines[level_tag] = wi
+                    lines[tag] = wi
 
-                cpu_cycles += gap
-                cpu_cycles += latency
+                    line = tag * num_sets0 + set_index
+                    latency = lat0
+                    request_hit_ns = -1.0
+                    for (level_sets, level_num, level_ways, lat_step,
+                         level_hit_ns, level_deltas, is_last) in walk:
+                        latency += lat_step
+                        level_set_index = line % level_num
+                        level_tag = line // level_num
+                        level_lines = level_sets[level_set_index]
+                        prev = level_lines.pop(level_tag, None)
+                        if prev is not None:
+                            level_lines[level_tag] = prev | wi
+                            level_deltas[0] += 1
+                            request_hit_ns = level_hit_ns
+                            break
+                        level_deltas[1] += 1
+                        if len(level_lines) >= level_ways:
+                            victim_tag = next(iter(level_lines))
+                            victim_dirty = level_lines.pop(victim_tag)
+                            level_deltas[2] += 1
+                            if victim_dirty:
+                                level_deltas[3] += 1
+                                level_deltas[4] += 1
+                                if is_last:
+                                    writeback_block = (
+                                        (victim_tag * num_sets_last
+                                         + level_set_index) * line_size
+                                    ) // 64
+                        level_lines[level_tag] = wi
 
-                if request_hit_ns >= 0.0:
+                    cpu_cycles += gap
+                    cpu_cycles += latency
+
+                    if request_hit_ns >= 0.0:
+                        if wi:
+                            write_append(request_hit_ns)
+                        else:
+                            read_append(request_hit_ns)
+                        continue
+
+                    # Residual functional stream: LLC miss (demand read),
+                    # then the dirty LLC writeback.
+                    cost = controller_read(int(address_vec[i]) // 64).cost
+                    blocking_reads = cost.blocking_reads
+                    posted_writes = cost.posted_writes
+                    if writeback_block >= 0:
+                        cost = controller_write(writeback_block, zero)
+                        blocking_reads += cost.blocking_reads
+                        posted_writes += cost.posted_writes
+
+                    cpu_cycles += blocking_reads * read_latency_cycles
+                    channel_ns += (
+                        blocking_reads * pcm_read_ns
+                        + posted_writes * pcm_write_ns
+                    )
+                    request_ns = (
+                        latency + blocking_reads * read_latency_cycles
+                    ) * cycle_ns
                     if wi:
-                        write_append(request_hit_ns)
+                        write_append(request_ns)
                     else:
-                        read_append(request_hit_ns)
-                    continue
-
-                # Residual functional stream: LLC miss (demand read),
-                # then the dirty LLC writeback.
-                cost = controller_read(int(address_vec[i]) // 64).cost
-                blocking_reads = cost.blocking_reads
-                posted_writes = cost.posted_writes
-                if writeback_block >= 0:
-                    cost = controller_write(writeback_block, zero)
-                    blocking_reads += cost.blocking_reads
-                    posted_writes += cost.posted_writes
-
-                cpu_cycles += blocking_reads * read_latency_cycles
-                channel_ns += (
-                    blocking_reads * pcm_read_ns
-                    + posted_writes * pcm_write_ns
-                )
-                request_ns = (
-                    latency + blocking_reads * read_latency_cycles
-                ) * cycle_ns
-                if wi:
-                    write_append(request_ns)
-                else:
-                    read_append(request_ns)
-
+                        read_append(request_ns)
+            except BaseException:
+                # Reference i raised: fold the partial batch and
+                # re-raise.  It was probed only if it raised on its way
+                # to the controller (its latest miss), not in its op
+                # event.
+                n = i + 1 if miss_at == i else i
+                raise
+            finally:
+                deltas0[0] += n - misses0
+                deltas0[1] += misses0
+                deltas0[2] += evictions0
+                deltas0[3] += dirty0
+                deltas0[4] += dirty0
+                read_latency.observe_batch(read_ns)
+                write_latency.observe_batch(write_ns)
             op_index += n
-            deltas0[0] += n - misses0
-            deltas0[1] += misses0
-            deltas0[2] += evictions0
-            deltas0[3] += dirty0
-            deltas0[4] += dirty0
-            read_latency.observe_batch(read_ns)
-            write_latency.observe_batch(write_ns)
 
         self.instructions = instructions
         self.memory_requests = op_index
@@ -359,34 +349,26 @@ def run_batched(system, workload, warmup_refs: int = 0, batch_size=None):
     from repro.sim.system import REFERENCE_BATCH
 
     engine = BatchEngine(system, batch_size or REFERENCE_BATCH)
-    arrays = None
-    if hasattr(workload, "reference_arrays"):
-        arrays = workload.reference_arrays()
-    if arrays is not None:
-        # Vectorized generation: the whole stream is already three
-        # arrays (value-identical to the generator); warmup and
-        # measurement windows are slices.
-        addresses, writes, gaps = arrays
-        warm_source = (
-            addresses[:warmup_refs], writes[:warmup_refs],
-            gaps[:warmup_refs],
+    # The whole stream is three arrays; warmup and measurement windows
+    # are slices.
+    arrays = workload.reference_arrays()
+    try:
+        if warmup_refs > 0:
+            engine.process(
+                [column[:warmup_refs] for column in arrays], emit_op=False
+            )
+            engine.flush_counters()
+            # Checkpoint: measurement starts from warmed state.
+            system.reset_measurement_stats()
+            engine.reset_accounting()
+        engine.process(
+            [column[warmup_refs:] for column in arrays],
+            emit_op=system.tracer.wants("op"),
         )
-        main_source = (
-            addresses[warmup_refs:], writes[warmup_refs:],
-            gaps[warmup_refs:],
-        )
-    else:
-        refs = workload.references()
-        warm_source = islice(refs, warmup_refs)
-        main_source = refs
-    if warmup_refs > 0:
-        engine.process(warm_source, emit_op=False)
+    finally:
+        # Also when a reference raised: the registry keeps what the
+        # caches' residency and the controller already show.
         engine.flush_counters()
-        # Checkpoint: measurement starts from warmed state.
-        system.reset_measurement_stats()
-        engine.reset_accounting()
-    engine.process(main_source, emit_op=system.tracer.wants("op"))
-    engine.flush_counters()
     return (
         engine.instructions,
         engine.memory_requests,

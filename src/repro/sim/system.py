@@ -32,7 +32,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.stats import SimResult
 from repro.telemetry import MetricRegistry
 
-#: References pulled from the workload generator per hot-loop batch.
+#: References per hot-loop batch, sliced from the workload's stream arrays.
 REFERENCE_BATCH = 8192
 
 #: Per-request latency bucket edges (ns), geometric 2ns .. 16384ns.

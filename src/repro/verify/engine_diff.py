@@ -53,7 +53,7 @@ from repro.verify.replay_fixture import (
     replay_report,
     write_fixture,
 )
-from repro.workloads.base import Workload
+from repro.workloads.trace import Trace
 
 #: Schema stamp for :func:`run_engine_diff` payloads.
 ENGINE_DIFF_SCHEMA = "engine_diff/v2"
@@ -70,15 +70,6 @@ DEFAULT_FIXTURE = os.path.join("tests", "fixtures", "engine_replay.json")
 CORPUS_TILE = 25
 
 _COMPARED_KEYS = ("result", "error", "registry", "resident_sha256")
-
-
-def _trace_workload(name: str, refs: list, footprint_bytes: int) -> Workload:
-    """An in-memory list of references as a standard Workload."""
-
-    def generate(rng, footprint, num_refs):
-        return iter(refs)
-
-    return Workload(name, generate, footprint_bytes, len(refs))
 
 
 def corpus_trace(path: str, tile: int = CORPUS_TILE):
@@ -190,8 +181,8 @@ def corpus_cases(corpus_dir: str = "tests/corpus") -> list:
                 functional_crypto=True,
                 rng=np.random.default_rng(config.seed),
             )
-            workload = _trace_workload(
-                "corpus", refs, footprint_bytes=config.data_bytes
+            workload = Trace("corpus", refs).as_workload(
+                footprint_bytes=config.data_bytes
             )
             return system, workload, {"verify": True}
 

@@ -16,41 +16,14 @@ from repro.workloads.whisper import ctree, echo, hashmap, redo_log, tpcc
 from repro.workloads.ycsb import ycsb, ycsb_a, ycsb_b, ycsb_c
 
 
-def standard_suite(footprint_bytes: int = 16 << 20, num_refs: int = 20_000):
+def standard_suite_specs(footprint_bytes: int = 16 << 20,
+                         num_refs: int = 20_000):
     """The paper's evaluation mix: persistent kernels, key-value,
     microbenchmarks, and SPEC-like applications (Figure 10's x-axis).
 
-    Returns a list of zero-argument factories so each consumer gets a
-    fresh, identical reference stream.
-    """
-    specs = [
-        lambda: ctree(footprint_bytes, num_refs),
-        lambda: hashmap(footprint_bytes, num_refs),
-        lambda: redo_log(footprint_bytes, num_refs),
-        lambda: tpcc(footprint_bytes, num_refs),
-        lambda: echo(footprint_bytes, num_refs),
-        lambda: pmemkv(0.9, footprint_bytes, num_refs),
-        lambda: pmemkv(0.1, footprint_bytes, num_refs),
-        lambda: ubench(16, footprint_bytes, num_refs),
-        lambda: ubench(64, footprint_bytes, num_refs),
-        lambda: ubench(128, footprint_bytes, num_refs),
-        lambda: mcf(footprint_bytes, num_refs),
-        lambda: lbm(footprint_bytes, num_refs),
-        lambda: libquantum(footprint_bytes, num_refs),
-        lambda: gcc(footprint_bytes, num_refs),
-        lambda: milc(footprint_bytes, num_refs),
-    ]
-    return specs
-
-
-def standard_suite_specs(footprint_bytes: int = 16 << 20,
-                         num_refs: int = 20_000):
-    """The same suite as :func:`standard_suite`, but as picklable
-    ``(factory_name, args, kwargs)`` triples.
-
-    Factory names resolve against this package, so a triple crosses a
-    process boundary (``repro.sim.sweep``) where the suite's closures
-    cannot.
+    Each entry is a picklable ``(factory_name, args, kwargs)`` triple
+    for :func:`make_workload`; names resolve against this package, so
+    a triple also crosses a process boundary (``repro.sim.sweep``).
     """
     kw = {"footprint_bytes": footprint_bytes, "num_refs": num_refs}
     return [
@@ -108,7 +81,6 @@ __all__ = [
     "milc",
     "pmemkv",
     "redo_log",
-    "standard_suite",
     "standard_suite_specs",
     "tpcc",
     "ubench",

@@ -19,51 +19,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
+#: Smallest footprint every synthetic layout fits: eight blocks, so the
+#: WHISPER kernels' ``blocks // 8`` log region is never empty.
+MIN_FOOTPRINT_BYTES = 512
+
 
 @dataclass
 class Workload:
-    """A named, seeded, replayable reference stream."""
+    """A named, seeded, replayable reference stream.
+
+    ``generator(rng, footprint_bytes, num_refs)`` returns the stream's
+    ``(addresses, writes, gaps)`` columns, at least ``num_refs`` long:
+    a kernel may finish the operation it is in, and
+    :meth:`reference_arrays` cuts the excess.
+    """
 
     name: str
-    generator: object       # callable(rng, footprint, num_refs) -> iter
+    generator: object
     footprint_bytes: int
     num_refs: int
     seed: int = 1
-    # Optional vectorized twin of ``generator``:
-    # callable(rng, footprint, num_refs) -> (addresses, writes, gaps)
-    # numpy arrays, value-identical to the yielded stream.
-    array_generator: object = None
-
-    def references(self):
-        """Fresh iterator over the (identical) reference stream."""
-        rng = np.random.default_rng(self.seed)
-        return self.generator(rng, self.footprint_bytes, self.num_refs)
 
     def reference_arrays(self):
-        """The whole stream as ``(addresses, writes, gaps)`` arrays.
-
-        ``None`` when this workload has no vectorized generator.  Both
-        paths seed a fresh rng identically and perform the same
-        arithmetic, so the arrays are value-identical to
-        :meth:`references` — a batched engine may consume either
-        source interchangeably (``tests/test_workloads.py`` pins the
-        equivalence per workload).
-        """
-        if self.array_generator is None:
-            return None
+        """The stream as int64/bool/int64 ``(addresses, writes, gaps)``
+        arrays of length ``num_refs``, from a freshly seeded rng."""
         rng = np.random.default_rng(self.seed)
-        addresses, writes, gaps = self.array_generator(
+        addresses, writes, gaps = self.generator(
             rng, self.footprint_bytes, self.num_refs
         )
+        cut = slice(self.num_refs)
         return (
-            np.asarray(addresses, dtype=np.int64),
-            np.asarray(writes, dtype=bool),
-            np.asarray(gaps, dtype=np.int64),
+            np.asarray(addresses, dtype=np.int64)[cut],
+            np.asarray(writes, dtype=bool)[cut],
+            np.asarray(gaps, dtype=np.int64)[cut],
         )
 
+    def references(self):
+        """The same stream as ``(int, bool, int)`` tuples."""
+        return zip(*(column.tolist() for column in self.reference_arrays()))
+
     def materialize(self) -> list:
-        """The whole trace as a list (for tests and trace mixing)."""
+        """The whole stream as a list of tuples (for tests)."""
         return list(self.references())
+
+
+def synthetic(name: str, generator, footprint_bytes: int,
+              num_refs: int) -> Workload:
+    """A generator's workload, refusing the sizes no layout holds."""
+    if footprint_bytes < MIN_FOOTPRINT_BYTES:
+        raise ValueError(
+            f"{name}: footprint_bytes must be at least "
+            f"{MIN_FOOTPRINT_BYTES}, got {footprint_bytes}"
+        )
+    if num_refs < 0:
+        raise ValueError(f"{name}: num_refs must be >= 0, got {num_refs}")
+    return Workload(name, generator, footprint_bytes, num_refs)
 
 
 def zipf_addresses(rng, footprint_blocks: int, count: int, alpha: float = 1.2):

@@ -9,7 +9,9 @@ value access; puts add an index update.  ``pmemkv_put`` and
 
 from __future__ import annotations
 
-from repro.workloads.base import Workload, zipf_addresses
+import numpy as np
+
+from repro.workloads.base import Workload, synthetic, zipf_addresses
 
 BLOCK = 64
 
@@ -20,34 +22,31 @@ def _pmemkv_generator(put_fraction: float, index_levels: int, gap: int):
         index_blocks = max(1, blocks // 8)   # index in the first 1/8th
         value_base = index_blocks
         value_blocks = blocks - value_base
-        emitted = 0
-        keys = zipf_addresses(rng, value_blocks, num_refs)
-        decisions = rng.random(size=num_refs)
-        i = 0
-        while emitted < num_refs:
-            key = int(keys[i % len(keys)])
-            is_put = decisions[i % len(decisions)] < put_fraction
-            i += 1
+        keys = zipf_addresses(rng, value_blocks, num_refs).tolist()
+        puts = (rng.random(size=num_refs) < put_fraction).tolist()
+        addresses = []
+        writes = []
+        for key, is_put in zip(keys, puts):
+            if len(addresses) >= num_refs:
+                break
             node = key
             for level in range(index_levels):
                 address = ((node * 40503 + level) % index_blocks) * BLOCK
-                yield address, False, gap
-                emitted += 1
-                if emitted >= num_refs:
-                    return
+                addresses.append(address)
                 node = node * 31 + 17
             value_address = (value_base + key) * BLOCK
             if is_put:
-                yield value_address, True, gap
-                emitted += 1
-                if emitted >= num_refs:
-                    return
-                # Index leaf update for the new version pointer.
-                yield ((key * 40503) % index_blocks) * BLOCK, True, gap
-                emitted += 1
+                # Value write, then the index leaf update for the new
+                # version pointer.
+                addresses += [
+                    value_address,
+                    ((key * 40503) % index_blocks) * BLOCK,
+                ]
+                writes += [False] * index_levels + [True, True]
             else:
-                yield value_address, False, gap
-                emitted += 1
+                addresses.append(value_address)
+                writes += [False] * (index_levels + 1)
+        return addresses, writes, np.full(len(addresses), gap)
     return generate
 
 
@@ -57,9 +56,9 @@ def pmemkv(put_fraction: float, footprint_bytes: int = 16 << 20,
     if not 0 <= put_fraction <= 1:
         raise ValueError("put_fraction must be in [0, 1]")
     suffix = "put" if put_fraction >= 0.5 else "get"
-    return Workload(
-        name=f"pmemkv_{suffix}",
-        generator=_pmemkv_generator(put_fraction, index_levels, gap),
-        footprint_bytes=footprint_bytes,
-        num_refs=num_refs,
+    return synthetic(
+        f"pmemkv_{suffix}",
+        _pmemkv_generator(put_fraction, index_levels, gap),
+        footprint_bytes,
+        num_refs,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import Workload, zipf_addresses
+from repro.workloads.base import Workload, synthetic, zipf_addresses
 
 BLOCK = 64
 
@@ -28,16 +28,18 @@ BLOCK = 64
 def _mcf_generator(gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
-        node = 1
         writes = rng.random(size=num_refs)
-        for i in range(num_refs):
+        addresses = []
+        node = 1
+        for _ in range(num_refs):
             # LCG-style pointer chase: effectively random block hops.
             node = (node * 6364136223846793005 + 1442695040888963407) % blocks
-            yield node * BLOCK, bool(writes[i] < 0.05), gap
+            addresses.append(node * BLOCK)
+        return addresses, writes < 0.05, np.full(num_refs, gap)
     return generate
 
 
-def _lbm_arrays(gap: int):
+def _lbm_generator(gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
         half = blocks // 2
@@ -49,35 +51,7 @@ def _lbm_arrays(gap: int):
             (half + pair % half) * BLOCK,
         )
         writes = ref % 2 == 1
-        return addresses, writes, np.full(num_refs, gap, dtype=np.int64)
-    return generate
-
-
-def _lbm_generator(gap: int):
-    def generate(rng, footprint_bytes, num_refs):
-        blocks = footprint_bytes // BLOCK
-        half = blocks // 2
-        i = 0
-        emitted = 0
-        while emitted < num_refs:
-            src = (i % half) * BLOCK
-            dst = (half + i % half) * BLOCK
-            yield src, False, gap
-            emitted += 1
-            if emitted >= num_refs:
-                return
-            yield dst, True, gap
-            emitted += 1
-            i += 1
-    return generate
-
-
-def _libquantum_arrays(gap: int):
-    def generate(rng, footprint_bytes, num_refs):
-        blocks = footprint_bytes // BLOCK
-        writes = rng.random(size=num_refs)
-        addresses = (np.arange(num_refs, dtype=np.int64) % blocks) * BLOCK
-        return addresses, writes < 0.02, np.full(num_refs, gap, dtype=np.int64)
+        return addresses, writes, np.full(num_refs, gap)
     return generate
 
 
@@ -85,24 +59,8 @@ def _libquantum_generator(gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
         writes = rng.random(size=num_refs)
-        for i in range(num_refs):
-            yield (i % blocks) * BLOCK, bool(writes[i] < 0.02), gap
-    return generate
-
-
-def _gcc_arrays(gap: int):
-    def generate(rng, footprint_bytes, num_refs):
-        blocks = footprint_bytes // BLOCK
-        working_set = max(1, blocks // 16)
-        # Same rng consumption order as the scalar generator: zipf
-        # addresses first, then the write dice.
-        addresses = zipf_addresses(rng, working_set, num_refs)
-        writes = rng.random(size=num_refs)
-        return (
-            addresses.astype(np.int64) * BLOCK,
-            writes < 0.3,
-            np.full(num_refs, gap, dtype=np.int64),
-        )
+        addresses = (np.arange(num_refs, dtype=np.int64) % blocks) * BLOCK
+        return addresses, writes < 0.02, np.full(num_refs, gap)
     return generate
 
 
@@ -110,68 +68,45 @@ def _gcc_generator(gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
         working_set = max(1, blocks // 16)
+        # Zipf addresses first, then the write dice.
         addresses = zipf_addresses(rng, working_set, num_refs)
         writes = rng.random(size=num_refs)
-        for i in range(num_refs):
-            yield int(addresses[i]) * BLOCK, bool(writes[i] < 0.3), gap
-    return generate
-
-
-def _milc_arrays(stride_blocks: int, gap: int):
-    def generate(rng, footprint_bytes, num_refs):
-        blocks = footprint_bytes // BLOCK
-        ref = np.arange(num_refs, dtype=np.int64)
-        addresses = ((ref * stride_blocks) % blocks) * BLOCK
-        return addresses, ref % 4 == 3, np.full(num_refs, gap, dtype=np.int64)
+        return addresses * BLOCK, writes < 0.3, np.full(num_refs, gap)
     return generate
 
 
 def _milc_generator(stride_blocks: int, gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
-        i = 0
-        emitted = 0
-        while emitted < num_refs:
-            address = ((i * stride_blocks) % blocks) * BLOCK
-            # Read phase dominated, with a write every fourth access.
-            yield address, i % 4 == 3, gap
-            emitted += 1
-            i += 1
+        ref = np.arange(num_refs, dtype=np.int64)
+        addresses = ((ref * stride_blocks) % blocks) * BLOCK
+        # Read phase dominated, with a write every fourth access.
+        return addresses, ref % 4 == 3, np.full(num_refs, gap)
     return generate
 
 
 def mcf(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
         gap: int = 6) -> Workload:
-    return Workload("mcf", _mcf_generator(gap), footprint_bytes, num_refs)
+    return synthetic("mcf", _mcf_generator(gap), footprint_bytes, num_refs)
 
 
 def lbm(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
         gap: int = 5) -> Workload:
-    return Workload(
-        "lbm", _lbm_generator(gap), footprint_bytes, num_refs,
-        array_generator=_lbm_arrays(gap),
-    )
+    return synthetic("lbm", _lbm_generator(gap), footprint_bytes, num_refs)
 
 
 def libquantum(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
                gap: int = 4) -> Workload:
-    return Workload(
-        "libquantum", _libquantum_generator(gap), footprint_bytes, num_refs,
-        array_generator=_libquantum_arrays(gap),
-    )
+    return synthetic("libquantum", _libquantum_generator(gap),
+                     footprint_bytes, num_refs)
 
 
 def gcc(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
         gap: int = 40) -> Workload:
-    return Workload(
-        "gcc", _gcc_generator(gap), footprint_bytes, num_refs,
-        array_generator=_gcc_arrays(gap),
-    )
+    return synthetic("gcc", _gcc_generator(gap), footprint_bytes, num_refs)
 
 
 def milc(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
          stride_blocks: int = 5, gap: int = 8) -> Workload:
-    return Workload(
-        "milc", _milc_generator(stride_blocks, gap), footprint_bytes, num_refs,
-        array_generator=_milc_arrays(stride_blocks, gap),
-    )
+    return synthetic("milc", _milc_generator(stride_blocks, gap),
+                     footprint_bytes, num_refs)

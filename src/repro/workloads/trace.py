@@ -137,7 +137,7 @@ class Trace:
         refs = self.references
 
         def generate(rng, footprint, num_refs):
-            return iter(refs[:num_refs])
+            return tuple(zip(*refs)) or ((), (), ())
 
         return Workload(
             name=self.name,

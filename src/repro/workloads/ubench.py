@@ -10,26 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import Workload
+from repro.workloads.base import Workload, synthetic
 
 
 def _ubench_generator(stride: int, gap: int):
     def generate(rng, footprint_bytes, num_refs):
-        address = 0
-        write = False
-        for _ in range(num_refs):
-            yield address % footprint_bytes, write, gap
-            write = not write  # read/write ratio of 1
-            address += stride
-    return generate
-
-
-def _ubench_arrays(stride: int, gap: int):
-    def generate(rng, footprint_bytes, num_refs):
         ref = np.arange(num_refs, dtype=np.int64)
         addresses = (ref * stride) % footprint_bytes
         writes = ref % 2 == 1  # read/write ratio of 1
-        return addresses, writes, np.full(num_refs, gap, dtype=np.int64)
+        return addresses, writes, np.full(num_refs, gap)
     return generate
 
 
@@ -38,10 +27,5 @@ def ubench(stride: int, footprint_bytes: int = 16 << 20,
     """Sequential sweep touching one byte every ``stride`` bytes."""
     if stride <= 0:
         raise ValueError("stride must be positive")
-    return Workload(
-        name=f"ubench{stride}",
-        generator=_ubench_generator(stride, gap),
-        footprint_bytes=footprint_bytes,
-        num_refs=num_refs,
-        array_generator=_ubench_arrays(stride, gap),
-    )
+    return synthetic(f"ubench{stride}", _ubench_generator(stride, gap),
+                     footprint_bytes, num_refs)

@@ -17,7 +17,9 @@ paper leads with them.
 
 from __future__ import annotations
 
-from repro.workloads.base import Workload
+import numpy as np
+
+from repro.workloads.base import Workload, synthetic
 
 BLOCK = 64
 
@@ -26,33 +28,27 @@ def _ctree_generator(depth: int, gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
         log_base = blocks - blocks // 8  # top 1/8th reserved for the log
+        log_blocks = blocks - log_base
+        addresses = []
+        writes = []
         log_head = 0
-        emitted = 0
-        while emitted < num_refs:
+        while len(addresses) < num_refs:
             # Root-to-leaf walk: the node at each level is derived from
             # the key, modeling pointer-dependent reads.
             key = int(rng.integers(0, 1 << 30))
             node = key % 97
             for level in range(depth):
-                address = (node % log_base) * BLOCK
-                yield address, False, gap
-                emitted += 1
-                if emitted >= num_refs:
-                    return
+                addresses.append((node % log_base) * BLOCK)
                 node = (node * 2654435761 + key + level) % log_base
-            leaf = (node % log_base) * BLOCK
             # Undo-log append, then the insert and the parent update.
-            yield (log_base + log_head % (blocks - log_base)) * BLOCK, True, gap
+            addresses += [
+                (log_base + log_head % log_blocks) * BLOCK,
+                (node % log_base) * BLOCK,
+                ((node // 8) % log_base) * BLOCK,
+            ]
+            writes += [False] * depth + [True] * 3
             log_head += 1
-            emitted += 1
-            if emitted >= num_refs:
-                return
-            yield leaf, True, gap
-            emitted += 1
-            if emitted >= num_refs:
-                return
-            yield ((node // 8) % log_base) * BLOCK, True, gap
-            emitted += 1
+        return addresses, writes, np.full(len(addresses), gap)
     return generate
 
 
@@ -60,24 +56,20 @@ def _hashmap_generator(chain: int, gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
         log_base = blocks - blocks // 8
+        log_blocks = blocks - log_base
+        addresses = []
+        writes = []
         log_head = 0
-        emitted = 0
-        while emitted < num_refs:
+        while len(addresses) < num_refs:
             key = int(rng.integers(0, 1 << 30))
             bucket = (key * 2654435761) % log_base
             walk = int(rng.integers(1, chain + 1))
-            for i in range(walk):
-                yield ((bucket + i * 7) % log_base) * BLOCK, False, gap
-                emitted += 1
-                if emitted >= num_refs:
-                    return
-            yield ((bucket + walk * 7) % log_base) * BLOCK, True, gap
-            emitted += 1
-            if emitted >= num_refs:
-                return
-            yield (log_base + log_head % (blocks - log_base)) * BLOCK, True, gap
+            for i in range(walk + 1):  # chain walk, then the value update
+                addresses.append(((bucket + i * 7) % log_base) * BLOCK)
+            addresses.append((log_base + log_head % log_blocks) * BLOCK)
+            writes += [False] * walk + [True, True]
             log_head += 1
-            emitted += 1
+        return addresses, writes, np.full(len(addresses), gap)
     return generate
 
 
@@ -85,26 +77,19 @@ def _redo_log_generator(batch: int, gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
         log_base = blocks - blocks // 4  # 1/4th of space is the log
+        log_blocks = blocks - log_base
+        addresses = []
+        writes = []
         log_head = 0
-        emitted = 0
-        while emitted < num_refs:
-            homes = rng.integers(0, log_base, size=batch)
-            for home in homes:  # read home locations into the tx
-                yield int(home) * BLOCK, False, gap
-                emitted += 1
-                if emitted >= num_refs:
-                    return
+        while len(addresses) < num_refs:
+            homes = (rng.integers(0, log_base, size=batch) * BLOCK).tolist()
+            addresses += homes  # read home locations into the tx
             for _ in range(batch):  # sequential redo-log appends
-                yield (log_base + log_head % (blocks - log_base)) * BLOCK, True, gap
+                addresses.append((log_base + log_head % log_blocks) * BLOCK)
                 log_head += 1
-                emitted += 1
-                if emitted >= num_refs:
-                    return
-            for home in homes:  # commit in place
-                yield int(home) * BLOCK, True, gap
-                emitted += 1
-                if emitted >= num_refs:
-                    return
+            addresses += homes  # commit in place
+            writes += [False] * batch + [True] * (2 * batch)
+        return addresses, writes, np.full(len(addresses), gap)
     return generate
 
 
@@ -112,26 +97,24 @@ def _tpcc_generator(records_per_tx: int, gap: int):
     def generate(rng, footprint_bytes, num_refs):
         blocks = footprint_bytes // BLOCK
         log_base = blocks - blocks // 8
+        log_blocks = blocks - log_base
+        appends = records_per_tx // 2 + 1
+        addresses = []
+        writes = []
         log_head = 0
-        emitted = 0
-        while emitted < num_refs:
+        while len(addresses) < num_refs:
             # New-order style transaction: read warehouse/district/
             # customer rows, insert order rows, append to the log,
             # update the district counter in place.
-            rows = rng.integers(0, log_base, size=records_per_tx)
-            for row in rows:
-                yield int(row) * BLOCK, False, gap
-                emitted += 1
-                if emitted >= num_refs:
-                    return
-            for i in range(records_per_tx // 2 + 1):
-                yield (log_base + log_head % (blocks - log_base)) * BLOCK, True, gap
+            rows = (rng.integers(0, log_base, size=records_per_tx)
+                    * BLOCK).tolist()
+            addresses += rows
+            for _ in range(appends):
+                addresses.append((log_base + log_head % log_blocks) * BLOCK)
                 log_head += 1
-                emitted += 1
-                if emitted >= num_refs:
-                    return
-            yield int(rows[0]) * BLOCK, True, gap  # district update
-            emitted += 1
+            addresses.append(rows[0])  # district update
+            writes += [False] * records_per_tx + [True] * (appends + 1)
+        return addresses, writes, np.full(len(addresses), gap)
     return generate
 
 
@@ -141,58 +124,56 @@ def _echo_generator(gap: int):
         index_blocks = max(1, blocks // 16)
         heap_base = index_blocks
         heap_blocks = blocks - heap_base
+        addresses = []
+        writes = []
         heap_head = 0
-        emitted = 0
-        while emitted < num_refs:
+        while len(addresses) < num_refs:
             key = int(rng.integers(0, 1 << 24))
             slot = (key * 2654435761) % index_blocks
-            yield slot * BLOCK, False, gap  # index lookup
-            emitted += 1
-            if emitted >= num_refs:
-                return
+            addresses.append(slot * BLOCK)  # index lookup
             if rng.random() < 0.6:
                 # put: append a new version to the heap, update index.
-                yield (heap_base + heap_head % heap_blocks) * BLOCK, True, gap
+                addresses += [
+                    (heap_base + heap_head % heap_blocks) * BLOCK,
+                    slot * BLOCK,
+                ]
+                writes += [False, True, True]
                 heap_head += 1
-                emitted += 1
-                if emitted >= num_refs:
-                    return
-                yield slot * BLOCK, True, gap
-                emitted += 1
             else:
                 # get: read the current version.
                 version = (key * 48271) % heap_blocks
-                yield (heap_base + version) * BLOCK, False, gap
-                emitted += 1
+                addresses.append((heap_base + version) * BLOCK)
+                writes += [False, False]
+        return addresses, writes, np.full(len(addresses), gap)
     return generate
 
 
 def ctree(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
           depth: int = 4, gap: int = 8) -> Workload:
-    return Workload("ctree", _ctree_generator(depth, gap),
-                    footprint_bytes, num_refs)
+    return synthetic("ctree", _ctree_generator(depth, gap),
+                     footprint_bytes, num_refs)
 
 
 def hashmap(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
             chain: int = 3, gap: int = 8) -> Workload:
-    return Workload("hashmap", _hashmap_generator(chain, gap),
-                    footprint_bytes, num_refs)
+    return synthetic("hashmap", _hashmap_generator(chain, gap),
+                     footprint_bytes, num_refs)
 
 
 def redo_log(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
              batch: int = 8, gap: int = 6) -> Workload:
-    return Workload("redo_log", _redo_log_generator(batch, gap),
-                    footprint_bytes, num_refs)
+    return synthetic("redo_log", _redo_log_generator(batch, gap),
+                     footprint_bytes, num_refs)
 
 
 def tpcc(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
          records_per_tx: int = 6, gap: int = 10) -> Workload:
     """TPC-C-style new-order transactions over persistent tables."""
-    return Workload("tpcc", _tpcc_generator(records_per_tx, gap),
-                    footprint_bytes, num_refs)
+    return synthetic("tpcc", _tpcc_generator(records_per_tx, gap),
+                     footprint_bytes, num_refs)
 
 
 def echo(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
          gap: int = 8) -> Workload:
     """Echo-style versioned KV store: append-only heap + small index."""
-    return Workload("echo", _echo_generator(gap), footprint_bytes, num_refs)
+    return synthetic("echo", _echo_generator(gap), footprint_bytes, num_refs)

@@ -13,7 +13,9 @@ paper's low average eviction rates rely on).
 
 from __future__ import annotations
 
-from repro.workloads.base import Workload, zipf_addresses
+import numpy as np
+
+from repro.workloads.base import Workload, synthetic, zipf_addresses
 
 BLOCK = 64
 
@@ -23,8 +25,7 @@ def _ycsb_generator(read_fraction: float, alpha: float, gap: int):
         blocks = footprint_bytes // BLOCK
         keys = zipf_addresses(rng, blocks, num_refs, alpha=alpha)
         reads = rng.random(size=num_refs)
-        for i in range(num_refs):
-            yield int(keys[i]) * BLOCK, bool(reads[i] >= read_fraction), gap
+        return keys * BLOCK, reads >= read_fraction, np.full(num_refs, gap)
     return generate
 
 
@@ -40,12 +41,8 @@ def ycsb(
         raise ValueError("read_fraction must be in [0, 1]")
     if name is None:
         name = f"ycsb_r{int(read_fraction * 100)}"
-    return Workload(
-        name=name,
-        generator=_ycsb_generator(read_fraction, alpha, gap),
-        footprint_bytes=footprint_bytes,
-        num_refs=num_refs,
-    )
+    return synthetic(name, _ycsb_generator(read_fraction, alpha, gap),
+                     footprint_bytes, num_refs)
 
 
 def ycsb_a(**kwargs) -> Workload:

@@ -83,7 +83,8 @@ class TestEngineSelection:
         for name in ("resolve_engine", "default_engine", "ENGINE_ENV_VAR"):
             assert not hasattr(sim_engine, name)
         assert not hasattr(sim_engine.BatchEngine, "export_state")
-        assert not hasattr(Workload, "reference_batches")
+        for name in ("reference_batches", "array_generator"):
+            assert not hasattr(Workload, name)
         # The cache model that only the scalar loop drove.
         for name in ("CacheLine", "Eviction", "HierarchyResult"):
             assert not hasattr(repro.cache, name)
@@ -97,25 +98,6 @@ class TestEngineSelection:
 
 class TestEngineInvariance:
     """Vector-engine invariants that once rode the scalar A/B leg."""
-
-    def test_array_source_matches_generator_source(self):
-        """The vector engine consumes pre-generated arrays when the
-        workload has a vectorized twin and the raw generator when not;
-        both sources must produce the same run."""
-        results = []
-        for strip_arrays in (False, True):
-            system = _system(scheme="src", seed=7)
-            workload = make_workload(GCC, seed=8)
-            if strip_arrays:
-                workload.array_generator = None
-                assert workload.reference_arrays() is None
-            else:
-                assert workload.reference_arrays() is not None
-            results.append({
-                "result": asdict(system.run(workload, warmup_refs=200)),
-                "registry": system.registry.snapshot(),
-            })
-        assert results[0] == results[1]
 
     def test_batch_size_invariance(self):
         """Totals and registry state cannot depend on where batch
@@ -158,6 +140,65 @@ class TestEngineInvariance:
         assert first == second
         assert first["error"] is None
         assert first["result"]["memory_requests"] == 1500
+
+
+class TestAbortedRun:
+    """A run that raises keeps the cache counters and latencies of the
+    references it touched, so the registry agrees with the caches'
+    residency and the controller's own counts."""
+
+    def _run_until_raise(self, system):
+        with pytest.raises(RuntimeError, match="injected"):
+            system.run(make_workload(
+                ("gcc", (), {"footprint_bytes": 2 << 20, "num_refs": 20_000})
+            ))
+        snapshot = system.registry.snapshot()
+        return {key: snapshot[key] for key in snapshot
+                if key.startswith("cache.L") or key.startswith("latency.")}
+
+    def _assert_chain(self, snap):
+        assert snap["cache.L2.hits"] + snap["cache.L2.misses"] \
+            == snap["cache.L1.misses"]
+        assert snap["cache.LLC.hits"] + snap["cache.LLC.misses"] \
+            == snap["cache.L2.misses"]
+
+    def test_controller_raise(self):
+        system = _system(scheme="src", seed=0, memory_mb=32)
+        controller = system.controller
+        read = controller.read
+        calls = []
+
+        def failing_read(block):
+            calls.append(block)
+            if len(calls) == 501:
+                raise RuntimeError("injected")
+            return read(block)
+
+        controller.read = failing_read
+        snap = self._run_until_raise(system)
+        self._assert_chain(snap)
+        assert snap["cache.LLC.misses"] == controller.stats.data_reads + 1
+        assert snap["cache.LLC.misses"] == len(
+            system.hierarchy.caches[-1].resident_addresses())
+        # Every touched reference but the failing one completed.
+        assert (snap["latency.read"]["count"]
+                + snap["latency.write"]["count"]
+                == snap["cache.L1.hits"] + snap["cache.L1.misses"] - 1)
+
+    def test_op_event_raise(self):
+        """A reference whose op event raises was never probed."""
+        system = _system(scheme="src", seed=0, memory_mb=32)
+
+        def on_op(event):
+            if event.index == 700:
+                raise RuntimeError("injected")
+
+        system.tracer.subscribe("op", on_op)
+        snap = self._run_until_raise(system)
+        self._assert_chain(snap)
+        assert snap["cache.L1.hits"] + snap["cache.L1.misses"] == 700
+        assert (snap["latency.read"]["count"]
+                + snap["latency.write"]["count"]) == 700
 
 
 class TestReplaySuite:
@@ -230,7 +271,8 @@ class TestReplaySuite:
 
 
 # The property-based sweep: randomized cells drawn across workloads
-# (vectorized and generator-only), schemes, seeds, and warmup windows.
+# (closed-form and stateful kernels), schemes, seeds, and warmup
+# windows.
 CELLS = st.tuples(
     st.sampled_from([
         ("gcc", (), {"footprint_bytes": 256 << 10}),

@@ -1,5 +1,9 @@
 """Tests for the workload generators."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,11 +15,12 @@ from repro.workloads import (
     hashmap,
     lbm,
     libquantum,
+    make_workload,
     mcf,
     milc,
     pmemkv,
     redo_log,
-    standard_suite,
+    standard_suite_specs,
     tpcc,
     ubench,
     ycsb,
@@ -181,7 +186,8 @@ class TestNewKernels:
 
 class TestSuiteAndHelpers:
     def test_standard_suite_names_unique(self):
-        names = [f().name for f in standard_suite(num_refs=10)]
+        names = [make_workload(spec).name
+                 for spec in standard_suite_specs(num_refs=10)]
         assert len(names) == len(set(names)) == 15
 
     def test_zipf_addresses_bounded(self):
@@ -196,47 +202,69 @@ class TestSuiteAndHelpers:
         assert top > 500  # head block dominates (~18% of draws)
 
     def test_workload_dataclass(self):
-        w = Workload("x", lambda rng, f, n: iter(()), 1024, 0)
+        w = Workload("x", lambda rng, f, n: ((), (), ()), 1024, 0)
         assert w.materialize() == []
 
 
-class TestReferenceArrays:
-    """The vectorized twin generators must be value-identical to the
-    scalar generators — the batched engine consumes either source
-    interchangeably, so any drift here is an engine-equivalence bug."""
+STREAMS = json.loads(
+    (Path(__file__).parent / "fixtures" / "workload_streams.json").read_text()
+)["cases"]
 
-    VECTORIZED = [
-        lambda: ubench(16),
-        lambda: ubench(128),
-        lambda: lbm(),
-        lambda: libquantum(),
-        lambda: gcc(),
-        lambda: milc(),
-    ]
 
-    @pytest.mark.parametrize("factory", VECTORIZED)
-    def test_arrays_match_generator_stream(self, factory):
-        workload = factory()
-        workload.num_refs = 2000
-        arrays = workload.reference_arrays()
-        assert arrays is not None
-        addresses, writes, gaps = arrays
-        assert addresses.dtype == np.int64
-        assert writes.dtype == bool
-        assert gaps.dtype == np.int64
-        stream = workload.materialize()
-        assert len(stream) == len(addresses) == 2000
-        for i, (address, is_write, gap) in enumerate(stream):
-            assert addresses[i] == address
-            assert writes[i] == bool(is_write)
-            assert gaps[i] == gap
+def _sha256(column, dtype) -> str:
+    return hashlib.sha256(
+        np.ascontiguousarray(column, dtype=dtype).tobytes()
+    ).hexdigest()
 
-    @pytest.mark.parametrize(
-        "factory",
-        [lambda: mcf(), lambda: ctree(), lambda: hashmap(),
-         lambda: pmemkv(0.5), lambda: ycsb_a()],
-    )
-    def test_stateful_workloads_stay_scalar(self, factory):
-        """Sequential/stateful generators have no vectorized twin; the
-        engine must fall back to draining the generator."""
-        assert factory().reference_arrays() is None
+
+@pytest.mark.parametrize(
+    "case", STREAMS,
+    ids=[f"{c['workload']}-{c['footprint_bytes']}-{c['num_refs']}-{c['seed']}"
+         for c in STREAMS],
+)
+def test_stream_matches_pinned_digest(case):
+    """Every generator's stream is pinned byte for byte, including the
+    points that end a stream in the middle of an operation."""
+    spec = (case["factory"], tuple(case["args"]),
+            {"footprint_bytes": case["footprint_bytes"],
+             "num_refs": case["num_refs"]})
+    workload = make_workload(spec, seed=case["seed"])
+    addresses, writes, gaps = workload.reference_arrays()
+    assert (addresses.dtype, writes.dtype, gaps.dtype) == (
+        np.int64, np.bool_, np.int64)
+    assert len(addresses) == len(writes) == len(gaps) == case["length"]
+    assert _sha256(addresses, "<i8") == case["addresses"]
+    assert _sha256(writes, "|b1") == case["writes"]
+    assert _sha256(gaps, "<i8") == case["gaps"]
+    types = {tuple(map(type, ref)) for ref in workload.references()}
+    assert types <= {(int, bool, int)}
+
+
+#: The pinned configurations, with the sizes left to each test.
+CONFIGS = sorted({(c["factory"], tuple(c["args"])) for c in STREAMS})
+
+
+@pytest.mark.parametrize(
+    "factory, args", CONFIGS,
+    ids=[factory + "".join(map(str, args)) for factory, args in CONFIGS],
+)
+class TestSizeValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"footprint_bytes": 0},
+        {"footprint_bytes": 448},
+        {"num_refs": -1},
+    ])
+    def test_rejects_sizes_no_layout_holds(self, factory, args, kwargs):
+        name = make_workload((factory, args, {})).name
+        with pytest.raises(ValueError, match=name):
+            make_workload((factory, args, kwargs))
+
+    def test_smallest_footprint_stays_in_range(self, factory, args):
+        for seed in (1, 2, 3):
+            workload = make_workload(
+                (factory, args, {"footprint_bytes": 512, "num_refs": 3000}),
+                seed=seed,
+            )
+            addresses, _, _ = workload.reference_arrays()
+            assert len(addresses) == 3000
+            assert addresses.min() >= 0 and addresses.max() < 512
