@@ -191,13 +191,25 @@ def cmd_perf(args) -> int:
     specs = standard_suite_specs(
         footprint_bytes=args.footprint_mb * MB, num_refs=args.refs
     )
-    named = [(make_workload(spec).name, spec) for spec in specs]
+    # A suite workload's name depends only on its factory and positional
+    # args, so a default-size build names it; the requested sizes are
+    # checked only for the workloads that will run.
+    named = []
+    for spec in specs:
+        factory, fargs, _ = spec
+        named.append((make_workload((factory, fargs, {})).name, spec))
     if args.workloads:
         wanted = set(args.workloads)
         named = [(name, spec) for name, spec in named if name in wanted]
         if not named:
             print(f"no workloads match {sorted(wanted)}")
             return 1
+    try:
+        for _, spec in named:
+            make_workload(spec)
+    except ValueError as exc:
+        print(f"invalid workload: {exc}")
+        return 1
     schemes = PAPER_SCHEMES
     cells = [
         SimCell(workload=spec, scheme=scheme, config=config, seed=args.seed)

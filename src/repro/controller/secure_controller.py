@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache import MetadataCache
-from repro.constants import MAC_BYTES, SPLIT_COUNTER_ARITY
+from repro.constants import MAC_BYTES, SPLIT_COUNTER_ARITY, TOC_ARITY
 from repro.controller.errors import (
     DataPoisonedError,
     IntegrityError,
@@ -234,6 +234,30 @@ class SecureMemoryController:
             functional=functional_crypto,
         )
         self.stats = ControllerStats(registry=registry)
+        # Hot-path hoists.  A request's block index is checked once, at
+        # read/write; every address derived from it is arithmetic on the
+        # map's layout constants, and hot counters are bumped straight
+        # on their instruments.
+        self._num_data_blocks = self.amap.num_data_blocks
+        self._block_size = self.amap.block_size
+        self._level_offsets = self.amap.level_offsets
+        #: NVM-write kinds of each level's copies, original first.
+        self._copy_kinds = [None] + [
+            ("counter" if level == 1 else "tree",)
+            + ("clone",) * (len(offsets) - 1)
+            for level, offsets in enumerate(self.amap.copy_offsets[1:], 1)
+        ]
+        self._sidecar_kinds = ("counter_mac",) + ("clone",) * (
+            len(self.amap.counter_mac_copy_offsets) - 1
+        )
+        self._data_reads = self.stats.instrument("data_reads")
+        self._data_writes = self.stats.instrument("data_writes")
+        self._reads_by_kind = self.stats.nvm_reads_by_kind
+        self._writes_by_kind = self.stats.nvm_writes_by_kind
+        self._evictions_by_level = self.stats.evictions_by_level
+        #: Anubis tracking applies only to lazy ToC operation: eager
+        #: mode keeps NVM current, and BMT mode recovers by regeneration.
+        self._tracks_shadow = update_policy == "lazy" and integrity_mode == "toc"
         #: Degraded-mode registry (None = classic drop-and-lock: a dead
         #: node raises IntegrityError on every access it covers).
         self.quarantine = QuarantineRegistry(self.amap) if quarantine else None
@@ -260,16 +284,17 @@ class SecureMemoryController:
 
     def read(self, block_index: int) -> ReadResult:
         """Read and verify one 64-byte data block."""
+        if not 0 <= block_index < self._num_data_blocks:
+            self.amap.data_addr(block_index)  # raises the map's IndexError
         cost = OpCost()
-        self.stats.data_reads += 1
-        address = self.amap.data_addr(block_index)
+        self._data_reads.n += 1
+        address = block_index * self._block_size
         if self.tracer.enabled:
             self.tracer.emit("demand_read", block=block_index, address=address)
-        self._check_quarantine(block_index, address)
-        entry = self._get_counter(self.amap.counter_index_of_data(block_index), cost)
-        counter = entry.block.effective_counter(
-            self.amap.counter_slot_of_data(block_index)
-        )
+        if self.quarantine is not None:
+            self._check_quarantine(block_index, address)
+        entry = self._get_counter(block_index // SPLIT_COUNTER_ARITY, cost)
+        counter = entry.block.effective_counter(block_index % SPLIT_COUNTER_ARITY)
 
         # A pending WPQ store is inside the ADR persistence domain and
         # supersedes dead media cells (the drain rewrites the row and
@@ -285,8 +310,8 @@ class SecureMemoryController:
                 )
             return ReadResult(data=bytes(64), cost=cost)
 
-        mac_block = self._get_mac_block(block_index, cost)
-        stored_mac = mac_block.macs[self.amap.mac_slot(block_index)]
+        mac_block = self._get_mac_block(self._mac_addr(block_index), cost)
+        stored_mac = mac_block.macs[block_index % AddressMap.MACS_PER_BLOCK]
         if self.functional_crypto:
             if self._mac.data_mac(ciphertext, address, counter) != stored_mac:
                 self.stats.integrity_failures += 1
@@ -307,16 +332,19 @@ class SecureMemoryController:
         """Encrypt and persist one 64-byte data block."""
         if len(data) != 64:
             raise ValueError(f"data must be 64 bytes, got {len(data)}")
+        if not 0 <= block_index < self._num_data_blocks:
+            self.amap.data_addr(block_index)  # raises the map's IndexError
         cost = OpCost()
-        self.stats.data_writes += 1
-        address = self.amap.data_addr(block_index)
-        self._check_quarantine(block_index, address)
-        counter_index = self.amap.counter_index_of_data(block_index)
-        slot = self.amap.counter_slot_of_data(block_index)
+        self._data_writes.n += 1
+        address = block_index * self._block_size
+        if self.quarantine is not None:
+            self._check_quarantine(block_index, address)
+        counter_index = block_index // SPLIT_COUNTER_ARITY
+        slot = block_index % SPLIT_COUNTER_ARITY
 
         entry = self._get_counter(counter_index, cost)
         overflow = entry.block.increment(slot)
-        self._mcache.mark_dirty(self.amap.node_addr(1, counter_index))
+        self._mcache.mark_dirty(self._node_addr(1, counter_index))
         try:
             if overflow is not None:
                 self._reencrypt_page(counter_index, entry, overflow, cost)
@@ -335,11 +363,10 @@ class SecureMemoryController:
                 data_mac = ZERO_MAC
             self._enqueue_write(address, ciphertext, cost, "data")
 
-            mac_block = self._get_mac_block(block_index, cost)
-            mac_block.macs[self.amap.mac_slot(block_index)] = data_mac
-            self._enqueue_write(
-                self.amap.mac_addr(block_index), mac_block.to_bytes(), cost, "mac"
-            )
+            mac_address = self._mac_addr(block_index)
+            mac_block = self._get_mac_block(mac_address, cost)
+            mac_block.macs[block_index % AddressMap.MACS_PER_BLOCK] = data_mac
+            self._enqueue_write(mac_address, mac_block.to_bytes(), cost, "mac")
 
             if self.update_policy == "eager":
                 self._persist_branch(counter_index, entry, cost)
@@ -396,13 +423,13 @@ class SecureMemoryController:
         if max_level is not None:
             top = min(max_level, top)
         self._persist_counter_entry(counter_index, entry, cost)
-        address = self.amap.node_addr(1, counter_index)
+        address = self._node_addr(1, counter_index)
         if self._mcache.contains(address):
             self._mcache.mark_clean(address)
         index = counter_index
         for level in range(2, top + 1):
-            index //= 8
-            address = self.amap.node_addr(level, index)
+            index //= TOC_ARITY
+            address = self._node_addr(level, index)
             if not self._mcache.is_dirty(address):
                 continue
             payload = self._mcache.peek(address)
@@ -498,6 +525,8 @@ class SecureMemoryController:
             functional=self.functional_crypto,
         )
         for address in self.nvm.touched_addresses():
+            if address >= self.amap.total_bytes:
+                continue  # a device larger than the map: not our estate
             region = self.amap.region_of(address)
             if region[0] != "data":
                 self.nvm.erase_block(address)
@@ -555,9 +584,8 @@ class SecureMemoryController:
     # ------------------------------------------------------------------
 
     def _check_quarantine(self, block_index: int, address: int) -> None:
-        """Fail fast on accesses into a quarantined range."""
-        if self.quarantine is None:
-            return
+        """Fail fast on accesses into a quarantined range (callers skip
+        it when quarantine is disabled)."""
         blocked = self.quarantine.covering(block_index)
         if blocked is not None:
             self.stats.quarantined_accesses += 1
@@ -632,7 +660,12 @@ class SecureMemoryController:
         kicked off for them double-counts in clone_repair telemetry
         (once now, once when the scrubber sees the still-set flag).
         """
-        return self.nvm.is_poisoned(address) and self._wpq.lookup(address) is None
+        nvm = self.nvm
+        return (
+            nvm.has_poison
+            and nvm.is_poisoned(address)
+            and self._wpq.lookup(address) is None
+        )
 
     def _nvm_read(self, address: int, cost: OpCost, kind: str):
         """Read one block: WPQ forwarding first, then the device.
@@ -644,19 +677,41 @@ class SecureMemoryController:
         if pending is not None:
             return pending, True
         cost.blocking_reads += 1
-        self.stats.record_read(kind)
+        self._reads_by_kind[kind] += 1
         return self.nvm.read_block_touched(address)
 
     def _enqueue_write(self, address: int, data: bytes, cost: OpCost, kind: str) -> None:
         self._wpq.enqueue(address, data)
         cost.posted_writes += 1
-        self.stats.record_write(kind)
+        self._writes_by_kind[kind] += 1
 
     def _enqueue_atomic(self, entries, cost: OpCost, kinds) -> None:
         self._wpq.enqueue_atomic(entries)
         cost.posted_writes += len(entries)
+        writes = self._writes_by_kind
         for kind in kinds:
-            self.stats.record_write(kind)
+            writes[kind] += 1
+
+    def _write_copies(self, level: int, index: int, data: bytes, cost: OpCost) -> None:
+        """Persist every copy of a node, original first, atomically."""
+        offset = index * self._block_size
+        self._enqueue_atomic(
+            [(base + offset, data) for base in self.amap.copy_offsets[level]],
+            cost,
+            self._copy_kinds[level],
+        )
+
+    # Layout arithmetic on indices the controller derived itself from a
+    # checked block index (AddressMap's methods check them again).
+
+    def _node_addr(self, level: int, index: int) -> int:
+        return self._level_offsets[level] + index * self._block_size
+
+    def _mac_addr(self, block_index: int) -> int:
+        return (
+            self.amap.mac_offset
+            + block_index // AddressMap.MACS_PER_BLOCK * self._block_size
+        )
 
     # ------------------------------------------------------------------
     # metadata fetch (verify on fill)
@@ -685,26 +740,24 @@ class SecureMemoryController:
                 if self.functional_crypto
                 else ZERO_DIGEST
             )
-            parent = self.amap.parent_of(level, index)
-            slot = self.amap.child_slot(level, index)
-            if parent is None:
+            slot = index % TOC_ARITY
+            if level == self.amap.num_levels:
                 self.root.set_digest(slot, digest)
                 return
-            level, index = parent
+            level, index = level + 1, index // TOC_ARITY
             pnode = self._get_node(level, index, cost)
             pnode.set_digest(slot, digest)
-            self._mcache.mark_dirty(self.amap.node_addr(level, index))
+            self._mcache.mark_dirty(self._node_addr(level, index))
             child_bytes = pnode.to_bytes() if self.functional_crypto else None
 
     def _parent_digest_of(self, level: int, index: int, cost: OpCost) -> bytes:
-        parent = self.amap.parent_of(level, index)
-        slot = self.amap.child_slot(level, index)
-        if parent is None:
+        slot = index % TOC_ARITY
+        if level == self.amap.num_levels:
             return self.root.digest(slot)
-        return self._get_node(*parent, cost).digest(slot)
+        return self._get_node(level + 1, index // TOC_ARITY, cost).digest(slot)
 
     def _get_node_bmt(self, level: int, index: int, cost: OpCost) -> BmtNode:
-        address = self.amap.node_addr(level, index)
+        address = self._node_addr(level, index)
         payload = self._mcache.get(address)
         if payload is not None:
             return payload.node
@@ -776,7 +829,7 @@ class SecureMemoryController:
         )
 
     def _get_counter_bmt(self, index: int, cost: OpCost) -> CounterEntry:
-        address = self.amap.node_addr(1, index)
+        address = self._node_addr(1, index)
         payload = self._mcache.get(address)
         if payload is not None:
             return payload
@@ -826,33 +879,30 @@ class SecureMemoryController:
     # ------------------------------------------------------------------
 
     def _parent_counter_of(self, level: int, index: int, cost: OpCost) -> int:
-        parent = self.amap.parent_of(level, index)
-        slot = self.amap.child_slot(level, index)
-        if parent is None:
-            return self.root.counter(slot)
-        return self._get_node(*parent, cost).counter(slot)
+        slot = index % TOC_ARITY
+        if level == self.amap.num_levels:
+            return self.root.counters[slot]
+        return self._get_node(level + 1, index // TOC_ARITY, cost).counters[slot]
 
     def _bump_parent(self, level: int, index: int, cost: OpCost) -> int:
         """Increment the parent counter for a child persist; returns the
         new counter value.  A non-root parent becomes dirty in the cache
         and gets a fresh shadow entry."""
-        parent = self.amap.parent_of(level, index)
-        slot = self.amap.child_slot(level, index)
-        if parent is None:
-            self.root.increment(slot)
-            return self.root.counter(slot)
-        plevel, pindex = parent
+        slot = index % TOC_ARITY
+        if level == self.amap.num_levels:
+            return self.root.increment(slot)
+        plevel, pindex = level + 1, index // TOC_ARITY
         pnode = self._get_node(plevel, pindex, cost)
-        pnode.increment(slot)
-        self._mcache.mark_dirty(self.amap.node_addr(plevel, pindex))
+        counter = pnode.increment(slot)
+        self._mcache.mark_dirty(self._node_addr(plevel, pindex))
         self._shadow_note_node(plevel, pindex, pnode, cost)
-        return pnode.counter(slot)
+        return counter
 
     def _get_node(self, level: int, index: int, cost: OpCost):
         """Fetch (and verify) a tree node at level >= 2, via the cache."""
         if self.integrity_mode == "bmt":
             return self._get_node_bmt(level, index, cost)
-        address = self.amap.node_addr(level, index)
+        address = self._level_offsets[level] + index * self._block_size
         payload = self._mcache.get(address)
         if payload is not None:
             return payload.node
@@ -967,7 +1017,7 @@ class SecureMemoryController:
         """Fetch (and verify) a level-1 counter block, via the cache."""
         if self.integrity_mode == "bmt":
             return self._get_counter_bmt(index, cost)
-        address = self.amap.node_addr(1, index)
+        address = self._level_offsets[1] + index * self._block_size
         payload = self._mcache.get(address)
         if payload is not None:
             return payload
@@ -976,13 +1026,13 @@ class SecureMemoryController:
             return self._reclaim_victim(eviction, cost)
         parent_counter = self._parent_counter_of(1, index, cost)
         raw, touched = self._nvm_read(address, cost, "counter")
-        sidecar_address = self.amap.counter_mac_addr(index)
+        sidecar_index, slot = divmod(index, AddressMap.MACS_PER_BLOCK)
+        sidecar_address = self.amap.counter_mac_offset + sidecar_index * self._block_size
         sidecar, _ = self._nvm_read(sidecar_address, cost, "counter_mac")
         if self._effectively_poisoned(sidecar_address):
             sidecar = self._recover_sidecar(index, cost)
             if sidecar is None:
                 self._sidecar_dead(index)
-        slot = self.amap.counter_mac_slot(index)
         stored_mac = sidecar[slot * MAC_BYTES:(slot + 1) * MAC_BYTES]
         if not touched:
             entry = CounterEntry(SplitCounterBlock(), mac=stored_mac)
@@ -1007,8 +1057,7 @@ class SecureMemoryController:
     # ------------------------------------------------------------------
 
     def _sidecar_index_of(self, counter_index: int) -> int:
-        address = self.amap.counter_mac_addr(counter_index)
-        return (address - self.amap.counter_mac_offset) // self.amap.block_size
+        return counter_index // AddressMap.MACS_PER_BLOCK
 
     def _recover_sidecar(self, counter_index: int, cost: OpCost):
         """Primary sidecar copy poisoned: promote a live clone, or
@@ -1080,8 +1129,8 @@ class SecureMemoryController:
             raise QuarantinedError(address, 0, sidecar_index, reason)
         raise IntegrityError(address, 0, sidecar_index, reason)
 
-    def _get_mac_block(self, block_index: int, cost: OpCost) -> MacBlockEntry:
-        address = self.amap.mac_addr(block_index)
+    def _get_mac_block(self, address: int, cost: OpCost) -> MacBlockEntry:
+        """The data-MAC block at ``address`` (see :meth:`_mac_addr`)."""
         payload = self._mcache.get(address)
         if payload is not None:
             return payload
@@ -1111,10 +1160,20 @@ class SecureMemoryController:
             # parent bump during a deferred persist) writes a fresh
             # entry there that a late tombstone would clobber.  Only
             # counter and tree blocks have shadow entries.
-            if not isinstance(eviction.payload, MacBlockEntry):
-                self._shadow_tombstone(eviction, cost)
-            self._victims[eviction.address] = eviction
-        self._drain_victims(cost)
+            if self._tracks_shadow and not isinstance(
+                eviction.payload, MacBlockEntry
+            ):
+                self._write_shadow(
+                    eviction.set_index, eviction.way, TOMBSTONE, cost
+                )
+            if eviction.dirty or self._victims or self._draining:
+                self._victims[eviction.address] = eviction
+            else:
+                # Clean, nothing queued ahead of it, no drain running:
+                # there is nothing to persist, only the eviction to count.
+                self._process_eviction(eviction, cost)
+        if self._victims:
+            self._drain_victims(cost)
 
     def _drain_victims(self, cost: OpCost) -> None:
         """Persist queued victims, one completed persist at a time.
@@ -1158,10 +1217,12 @@ class SecureMemoryController:
         type: level 1 for a counter block, the node's level for a tree
         node, and level 0 (index ``None``) for a data-MAC block."""
         if isinstance(payload, CounterEntry):
-            return 1, self.amap.node_index(1, address)
-        if isinstance(payload, NodeEntry):
-            return payload.level, self.amap.node_index(payload.level, address)
-        return 0, None
+            level = 1
+        elif isinstance(payload, NodeEntry):
+            level = payload.level
+        else:
+            return 0, None
+        return level, (address - self._level_offsets[level]) // self._block_size
 
     def _process_eviction(self, eviction, cost: OpCost) -> None:
         if self.tracer.enabled:
@@ -1169,11 +1230,9 @@ class SecureMemoryController:
                 "metadata_eviction", address=eviction.address, dirty=eviction.dirty
             )
         level, index = self._node_of(eviction.address, eviction.payload)
-        self.stats.evictions_by_level[level] += 1
-        if level == 0:
-            return  # data-MAC blocks are write-through, never dirty
-        if not eviction.dirty:
-            return
+        self._evictions_by_level[level] += 1
+        if level == 0 or not eviction.dirty:
+            return  # clean, or a write-through (never dirty) data-MAC block
         self.stats.dirty_evictions_by_level[level] += 1
         if level == 1:
             self._persist_counter_entry(index, eviction.payload, cost)
@@ -1188,13 +1247,7 @@ class SecureMemoryController:
         was already refreshed by cached-eager propagation.
         """
         if self.integrity_mode == "bmt":
-            block_bytes = entry.block.to_bytes()
-            addresses = self.amap.all_copies(1, index)
-            self._enqueue_atomic(
-                [(address, block_bytes) for address in addresses],
-                cost,
-                ["counter"] + ["clone"] * (len(addresses) - 1),
-            )
+            self._write_copies(1, index, entry.block.to_bytes(), cost)
             entry.reset_updates()
             return
         parent_counter = self._bump_parent(1, index, cost)
@@ -1202,55 +1255,36 @@ class SecureMemoryController:
             entry.mac = self._auth.counter_block_mac(
                 index, entry.block, parent_counter
             )
-        block_bytes = entry.block.to_bytes()
-        addresses = self.amap.all_copies(1, index)
-        self._enqueue_atomic(
-            [(address, block_bytes) for address in addresses],
-            cost,
-            ["counter"] + ["clone"] * (len(addresses) - 1),
-        )
-        sidecar_address = self.amap.counter_mac_addr(index)
+        self._write_copies(1, index, entry.block.to_bytes(), cost)
+        sidecar_index, slot = divmod(index, AddressMap.MACS_PER_BLOCK)
+        offset = sidecar_index * self._block_size
+        sidecar_address = self.amap.counter_mac_offset + offset
         sidecar, _ = self._nvm_read(sidecar_address, cost, "counter_mac")
-        if self.nvm.is_poisoned(sidecar_address):
+        if self.nvm.has_poison and self.nvm.is_poisoned(sidecar_address):
             # Don't fold a garbled base into the read-modify-write; a
             # live clone (or cache rebuild) supplies clean other slots.
             recovered = self._recover_sidecar(index, cost)
             if recovered is not None:
                 sidecar = recovered
-        slot = self.amap.counter_mac_slot(index)
         sidecar = (
             sidecar[: slot * MAC_BYTES]
             + entry.mac
             + sidecar[(slot + 1) * MAC_BYTES:]
         )
-        sidecar_copies = self.amap.counter_mac_copies(self._sidecar_index_of(index))
         self._enqueue_atomic(
-            [(address, sidecar) for address in sidecar_copies],
+            [(base + offset, sidecar)
+             for base in self.amap.counter_mac_copy_offsets],
             cost,
-            ["counter_mac"] + ["clone"] * (len(sidecar_copies) - 1),
+            self._sidecar_kinds,
         )
         entry.reset_updates()
 
     def _persist_node(self, level: int, index: int, node, cost: OpCost) -> None:
-        if self.integrity_mode == "bmt":
-            node_bytes = node.to_bytes()
-            addresses = self.amap.all_copies(level, index)
-            self._enqueue_atomic(
-                [(address, node_bytes) for address in addresses],
-                cost,
-                ["tree"] + ["clone"] * (len(addresses) - 1),
-            )
-            return
-        parent_counter = self._bump_parent(level, index, cost)
-        if self.functional_crypto:
-            self._auth.seal_node(level, index, node, parent_counter)
-        node_bytes = node.to_bytes()
-        addresses = self.amap.all_copies(level, index)
-        self._enqueue_atomic(
-            [(address, node_bytes) for address in addresses],
-            cost,
-            ["tree"] + ["clone"] * (len(addresses) - 1),
-        )
+        if self.integrity_mode == "toc":
+            parent_counter = self._bump_parent(level, index, cost)
+            if self.functional_crypto:
+                self._auth.seal_node(level, index, node, parent_counter)
+        self._write_copies(level, index, node.to_bytes(), cost)
 
     def _reencrypt_page(
         self, counter_index: int, entry: CounterEntry, overflow, cost: OpCost
@@ -1264,15 +1298,15 @@ class SecureMemoryController:
             block_index = counter_index * SPLIT_COUNTER_ARITY + slot
             if block_index >= self.num_data_blocks:
                 break
-            address = self.amap.data_addr(block_index)
+            address = block_index * self._block_size
             raw, touched = self._nvm_read(address, cost, "data")
             if not touched:
                 continue
             if self.functional_crypto:
                 old_counter = (overflow.old_major << 7) | overflow.old_minors[slot]
                 new_counter = entry.block.effective_counter(slot)
-                mac_block = self._get_mac_block(block_index, cost)
-                mac_slot = self.amap.mac_slot(block_index)
+                mac_block = self._get_mac_block(self._mac_addr(block_index), cost)
+                mac_slot = block_index % AddressMap.MACS_PER_BLOCK
                 if self._effectively_poisoned(address) or (
                     self._mac.data_mac(raw, address, old_counter)
                     != mac_block.macs[mac_slot]
@@ -1290,15 +1324,13 @@ class SecureMemoryController:
                 mac_block.macs[mac_slot] = (
                     self._mac.data_mac(ciphertext, address, new_counter)
                 )
-                touched_mac_blocks.add(block_index - (block_index % 8))
+                touched_mac_blocks.add(self._mac_addr(block_index))
             else:
                 ciphertext = raw
             self._enqueue_write(address, ciphertext, cost, "data")
-        for base_index in sorted(touched_mac_blocks):
-            mac_block = self._get_mac_block(base_index, cost)
-            self._enqueue_write(
-                self.amap.mac_addr(base_index), mac_block.to_bytes(), cost, "mac"
-            )
+        for mac_address in sorted(touched_mac_blocks):
+            mac_block = self._get_mac_block(mac_address, cost)
+            self._enqueue_write(mac_address, mac_block.to_bytes(), cost, "mac")
         self.stats.osiris_persists += 1
         self._persist_counter_entry(counter_index, entry, cost)
 
@@ -1306,17 +1338,11 @@ class SecureMemoryController:
     # shadow tracking
     # ------------------------------------------------------------------
 
-    @property
-    def _tracks_shadow(self) -> bool:
-        """Anubis tracking applies only to lazy ToC operation: eager
-        mode keeps NVM current, and BMT mode recovers by regeneration."""
-        return self.update_policy == "lazy" and self.integrity_mode == "toc"
-
     def _shadow_note_counter(self, index: int, entry: CounterEntry, cost: OpCost) -> None:
         if not self._tracks_shadow:
             return  # NVM is never stale, or recovery regenerates
-        address = self.amap.node_addr(1, index)
-        location = self._mcache.location_of(address)
+        address = self._node_addr(1, index)
+        set_index, way = self._mcache.location_of(address)
         record = ShadowRecord(
             address=address,
             kind=KIND_COUNTER,
@@ -1324,13 +1350,13 @@ class SecureMemoryController:
             mac=(self._shadow.record_mac(address, entry.block.to_bytes())
                  if self.functional_crypto else ZERO_MAC),
         )
-        self._write_shadow(location, record, cost)
+        self._write_shadow(set_index, way, record, cost)
 
     def _shadow_note_node(self, level: int, index: int, node: TocNode, cost: OpCost) -> None:
         if not self._tracks_shadow:
             return
-        address = self.amap.node_addr(level, index)
-        location = self._mcache.location_of(address)
+        address = self._node_addr(level, index)
+        set_index, way = self._mcache.location_of(address)
         mask = (1 << self.shadow_codec.lsb_bits) - 1
         record = ShadowRecord(
             address=address,
@@ -1339,18 +1365,16 @@ class SecureMemoryController:
             mac=(self._shadow.record_mac(address, node.counters_bytes())
                  if self.functional_crypto else ZERO_MAC),
         )
-        self._write_shadow(location, record, cost)
+        self._write_shadow(set_index, way, record, cost)
 
-    def _shadow_tombstone(self, eviction, cost: OpCost) -> None:
-        if not self._tracks_shadow:
-            return
-        self._write_shadow((eviction.set_index, eviction.way), TOMBSTONE, cost)
-
-    def _write_shadow(self, location, record: ShadowRecord, cost: OpCost) -> None:
-        slot_id = self._mcache.slot_id(*location)
-        self._shadow.write_entry(slot_id, record, self._wpq)
+    def _write_shadow(self, set_index: int, way: int, record: ShadowRecord,
+                      cost: OpCost) -> None:
+        """Persist the shadow entry of metadata-cache slot (set, way)."""
+        self._shadow.write_entry(
+            set_index * self._mcache.ways + way, record, self._wpq
+        )
         cost.posted_writes += 1
-        self.stats.record_write("shadow")
+        self._writes_by_kind["shadow"] += 1
 
     # ------------------------------------------------------------------
     # proactive scrubbing probes

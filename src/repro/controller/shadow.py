@@ -82,15 +82,20 @@ def _pack_subentry(record: ShadowRecord, lsb_bits: int, lsb_bytes: int) -> bytes
         raise ValueError(f"invalid record kind {record.kind}")
     if len(record.lsbs) != 8:
         raise ValueError("exactly 8 LSB values required")
-    mask = (1 << lsb_bits) - 1
-    out = bytearray()
-    out += (record.address | record.kind).to_bytes(8, "little")
-    for value in record.lsbs:
-        out += (value & mask).to_bytes(lsb_bytes, "little")
     if len(record.mac) != MAC_BYTES:
         raise ValueError("record MAC must be 8 bytes")
-    out += record.mac
-    return bytes(out)
+    # The eight masked LSBs, little-endian at a stride of lsb_bytes,
+    # packed as one integer.
+    mask = (1 << lsb_bits) - 1
+    stride = 8 * lsb_bytes
+    packed = 0
+    for i, value in enumerate(record.lsbs):
+        packed |= (value & mask) << (i * stride)
+    return (
+        (record.address | record.kind).to_bytes(8, "little")
+        + packed.to_bytes(8 * lsb_bytes, "little")
+        + record.mac
+    )
 
 
 def _unpack_subentry(raw: bytes, lsb_bits: int, lsb_bytes: int) -> ShadowRecord:
@@ -155,10 +160,15 @@ class ShadowManager:
 
     def write_entry(self, slot_id: int, record: ShadowRecord, wpq) -> None:
         """Persist a shadow entry for cache slot ``slot_id`` via the WPQ
-        and (in functional mode) eagerly update the shadow BMT."""
+        and (in functional mode) eagerly update the shadow BMT.
+
+        ``slot_id`` is a metadata-cache slot, in range by construction,
+        so the entry address is plain arithmetic.
+        """
         raw = (self._tombstone_raw if record is TOMBSTONE
                else self.codec.encode(record))
-        wpq.enqueue(self._amap.shadow_entry_addr(slot_id), raw)
+        wpq.enqueue(self._amap.shadow_offset + slot_id * self._amap.block_size,
+                    raw)
         self.writes += 1
         if self.functional:
             self.tree.update_leaf(slot_id, raw)

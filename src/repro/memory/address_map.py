@@ -68,6 +68,9 @@ class AddressMap:
     layout with no clone region.
     """
 
+    #: 64-bit MACs packed per data-MAC or sidecar block.
+    MACS_PER_BLOCK = 8
+
     def __init__(
         self,
         data_bytes: int,
@@ -96,7 +99,7 @@ class AddressMap:
         # --- region offsets, laid out back to back ---
         cursor = self.data_bytes
         self.mac_offset = cursor
-        self.num_mac_blocks = _ceil_div(self.num_data_blocks, 8)
+        self.num_mac_blocks = _ceil_div(self.num_data_blocks, self.MACS_PER_BLOCK)
         cursor += self.num_mac_blocks * block_size
 
         self.counter_offset = cursor
@@ -106,7 +109,9 @@ class AddressMap:
         # one 64-bit major fill the whole line), so their ToC MACs live
         # in a packed sidecar region, eight 64-bit MACs per block.
         self.counter_mac_offset = cursor
-        self.num_counter_mac_blocks = _ceil_div(self.level_sizes[0], 8)
+        self.num_counter_mac_blocks = _ceil_div(
+            self.level_sizes[0], self.MACS_PER_BLOCK
+        )
         cursor += self.num_counter_mac_blocks * block_size
 
         self.tree_offsets = {}
@@ -140,6 +145,27 @@ class AddressMap:
 
         self.total_bytes = cursor
 
+        # Base address of every stored copy, original first, of each
+        # level's nodes (index 0 unused) and of the sidecar blocks: copy
+        # ``c`` of node ``i`` sits at ``copy_offsets[level][c] + i *
+        # block_size``.  Callers holding an index they already checked
+        # address a node by this arithmetic; the methods below check it.
+        self.level_offsets = [None, self.counter_offset] + [
+            self.tree_offsets[level] for level in range(2, self.num_levels + 1)
+        ]
+        self.copy_offsets = [None]
+        for level in range(1, self.num_levels + 1):
+            per_copy = self.level_sizes[level - 1] * block_size
+            clones = self.clone_depths.get(level, 1) - 1
+            self.copy_offsets.append((self.level_offsets[level],) + tuple(
+                self.clone_offsets[level] + c * per_copy for c in range(clones)
+            ))
+        per_copy = self.num_counter_mac_blocks * block_size
+        self.counter_mac_copy_offsets = (self.counter_mac_offset,) + tuple(
+            self.counter_mac_clone_offset + c * per_copy
+            for c in range(counter_mac_depth - 1)
+        )
+
     # ---- per-region address calculators ----
 
     def data_addr(self, block_index: int) -> int:
@@ -151,25 +177,31 @@ class AddressMap:
         """Address of the MAC *block* holding this data block's MAC."""
         if not 0 <= data_block_index < self.num_data_blocks:
             raise _index_error(data_block_index, self.num_data_blocks, "data block")
-        return self.mac_offset + (data_block_index // 8) * self.block_size
+        return (
+            self.mac_offset
+            + (data_block_index // self.MACS_PER_BLOCK) * self.block_size
+        )
 
     def mac_slot(self, data_block_index: int) -> int:
         """Slot (0-7) of this data block's MAC within its MAC block."""
         if not 0 <= data_block_index < self.num_data_blocks:
             raise _index_error(data_block_index, self.num_data_blocks, "data block")
-        return data_block_index % 8
+        return data_block_index % self.MACS_PER_BLOCK
 
     def counter_mac_addr(self, counter_index: int) -> int:
         """Address of the sidecar block holding this counter block's MAC."""
         if not 0 <= counter_index < self.level_sizes[0]:
             raise _index_error(counter_index, self.level_sizes[0], "counter block")
-        return self.counter_mac_offset + (counter_index // 8) * self.block_size
+        return (
+            self.counter_mac_offset
+            + (counter_index // self.MACS_PER_BLOCK) * self.block_size
+        )
 
     def counter_mac_slot(self, counter_index: int) -> int:
         """Slot (0-7) of this counter block's MAC in its sidecar block."""
         if not 0 <= counter_index < self.level_sizes[0]:
             raise _index_error(counter_index, self.level_sizes[0], "counter block")
-        return counter_index % 8
+        return counter_index % self.MACS_PER_BLOCK
 
     def counter_index_of_data(self, data_block_index: int) -> int:
         if not 0 <= data_block_index < self.num_data_blocks:
@@ -190,20 +222,14 @@ class AddressMap:
             raise _level_error(level, self.num_levels)
         if not 0 <= index < self.level_sizes[level - 1]:
             raise _index_error(index, self.level_sizes[level - 1], f"level-{level} node")
-        if level == 1:
-            return self.counter_offset + index * self.block_size
-        return self.tree_offsets[level] + index * self.block_size
+        return self.level_offsets[level] + index * self.block_size
 
     def node_index(self, level: int, address: int) -> int:
         """Index of the level-``level`` node whose original copy is at
         ``address``: the inverse of :meth:`node_addr`."""
-        if level == 1:
-            offset = self.counter_offset
-        elif 1 < level <= self.num_levels:
-            offset = self.tree_offsets[level]
-        else:
+        if not 1 <= level <= self.num_levels:
             raise _level_error(level, self.num_levels)
-        index, rem = divmod(address - offset, self.block_size)
+        index, rem = divmod(address - self.level_offsets[level], self.block_size)
         if rem or not 0 <= index < self.level_sizes[level - 1]:
             raise ValueError(f"address {address:#x} is not a level-{level} node")
         return index
@@ -219,15 +245,12 @@ class AddressMap:
             )
         if not 0 <= index < self.level_sizes[level - 1]:
             raise _index_error(index, self.level_sizes[level - 1], f"level-{level} node")
-        per_copy = self.level_sizes[level - 1] * self.block_size
-        return self.clone_offsets[level] + (copy - 1) * per_copy + index * self.block_size
+        return self.copy_offsets[level][copy] + index * self.block_size
 
     def all_copies(self, level: int, index: int) -> list:
         """Addresses of every stored copy of a node, original first."""
-        depth = self.clone_depths.get(level, 1)
-        return [self.node_addr(level, index)] + [
-            self.clone_addr(level, index, c) for c in range(1, depth)
-        ]
+        offset = self.node_addr(level, index) - self.level_offsets[level]
+        return [base + offset for base in self.copy_offsets[level]]
 
     def counter_mac_clone_addr(self, sidecar_index: int, copy: int) -> int:
         """Address of clone ``copy`` (1-based) of a sidecar MAC block."""
@@ -237,12 +260,7 @@ class AddressMap:
             )
         if not 0 <= sidecar_index < self.num_counter_mac_blocks:
             raise _index_error(sidecar_index, self.num_counter_mac_blocks, "sidecar block")
-        per_copy = self.num_counter_mac_blocks * self.block_size
-        return (
-            self.counter_mac_clone_offset
-            + (copy - 1) * per_copy
-            + sidecar_index * self.block_size
-        )
+        return self.counter_mac_copy_offsets[copy] + sidecar_index * self.block_size
 
     def counter_mac_copies(self, sidecar_index: int) -> list:
         """Addresses of every stored copy of a sidecar block, original

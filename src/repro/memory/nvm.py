@@ -159,6 +159,12 @@ class NvmDevice:
     def poisoned_addresses(self):
         return frozenset(self._poisoned)
 
+    @property
+    def has_poison(self) -> bool:
+        """True when any block is poisoned.  A healthy device (every
+        benchmark run) lets readers skip the per-address probe."""
+        return bool(self._poisoned)
+
     def erase_block(self, address: int) -> None:
         """Return a block to the factory-fresh (untouched, zero) state.
 

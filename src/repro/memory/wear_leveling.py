@@ -59,6 +59,19 @@ class StartGapRemapper:
             physical += 1
         return physical
 
+    def logical_of(self, physical: int):
+        """Logical line held by physical slot ``physical``, or ``None``
+        for the gap slot: the inverse of :meth:`physical_of`."""
+        if not 0 <= physical < self.num_slots:
+            raise IndexError(
+                f"physical slot {physical} out of range [0, {self.num_slots})"
+            )
+        if physical == self.gap:
+            return None
+        if physical > self.gap:
+            physical -= 1
+        return (physical - self.start) % self.num_lines
+
     def note_write(self):
         """Account one write; returns a (src, dst) relocation when the
         gap must move (the caller copies the line), else None."""
@@ -83,7 +96,9 @@ class WearLevelingNvm:
     Presents the same block interface as :class:`NvmDevice` for a
     *logical* capacity one block smaller than the backing device (the
     spare gap line).  Gap relocations copy live data, so contents are
-    preserved across arbitrarily many rotations.
+    preserved across arbitrarily many rotations.  Traffic counters and
+    wear figures are the backing device's: physical traffic, gap
+    relocations included.
     """
 
     def __init__(self, backing, psi: int = 100, block_size: int = CACHELINE_BYTES):
@@ -118,6 +133,9 @@ class WearLevelingNvm:
     def read_block_touched(self, address: int):
         return self._nvm.read_block_touched(self._physical(address))
 
+    def peek_block(self, address: int):
+        return self._nvm.peek_block(self._physical(address))
+
     def write_block(self, address: int, data: bytes) -> None:
         self._nvm.write_block(self._physical(address), data)
         relocation = self.remap.note_write()
@@ -140,16 +158,31 @@ class WearLevelingNvm:
     def clear_poison(self, address: int) -> None:
         self._nvm.clear_poison(self._physical(address))
 
+    @property
+    def poisoned_addresses(self):
+        """Logical addresses whose physical line is poisoned."""
+        return frozenset(self._logical(self._nvm.poisoned_addresses))
+
+    @property
+    def has_poison(self) -> bool:
+        return self._nvm.has_poison
+
+    def erase_block(self, address: int) -> None:
+        self._nvm.erase_block(self._physical(address))
+
     def is_touched(self, address: int) -> bool:
         return self._nvm.is_touched(self._physical(address))
 
     def touched_addresses(self):
-        """Logical addresses currently holding written data."""
-        out = []
-        for logical in range(self.remap.num_lines):
-            if self._nvm.is_touched(self.remap.physical_of(logical) * self.block_size):
-                out.append(logical * self.block_size)
-        return out
+        """Logical addresses currently holding written data (sorted)."""
+        return sorted(self._logical(self._nvm.touched_addresses()))
+
+    def _logical(self, physical_addresses):
+        """Logical addresses of the given physical ones, gap skipped."""
+        for address in physical_addresses:
+            logical = self.remap.logical_of(address // self.block_size)
+            if logical is not None:
+                yield logical * self.block_size
 
     @property
     def read_count(self) -> int:
@@ -158,6 +191,17 @@ class WearLevelingNvm:
     @property
     def write_count(self) -> int:
         return self._nvm.write_count
+
+    def metrics(self) -> tuple:
+        """The backing device's instruments: physical traffic."""
+        return self._nvm.metrics()
+
+    def write_count_of(self, address: int) -> int:
+        """Writes ever issued to the physical line that now holds
+        ``address``: the wear of the cells behind it, gap relocations
+        included, not the writes this logical address received (those
+        spread over every line the address has visited)."""
+        return self._nvm.write_count_of(self._physical(address))
 
     def wear_stats(self) -> dict:
         return self._nvm.wear_stats()

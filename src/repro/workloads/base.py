@@ -64,16 +64,29 @@ class Workload:
 
 
 def synthetic(name: str, generator, footprint_bytes: int,
-              num_refs: int) -> Workload:
-    """A generator's workload, refusing the sizes no layout holds."""
+              num_refs: int, *, gap: int = 0) -> Workload:
+    """A generator's workload, refusing the sizes no layout holds and a
+    negative ``gap`` (which would shrink the instruction count)."""
     if footprint_bytes < MIN_FOOTPRINT_BYTES:
         raise ValueError(
             f"{name}: footprint_bytes must be at least "
             f"{MIN_FOOTPRINT_BYTES}, got {footprint_bytes}"
         )
-    if num_refs < 0:
-        raise ValueError(f"{name}: num_refs must be >= 0, got {num_refs}")
+    check_at_least(name, 0, num_refs=num_refs, gap=gap)
     return Workload(name, generator, footprint_bytes, num_refs)
+
+
+def check_at_least(name: str, minimum: int, **params) -> None:
+    """Refuse any of workload ``name``'s ``params`` below ``minimum``.
+
+    Kernel shape counts guard against streams that never fill (an
+    operation of zero records appends nothing) or crash mid-generation.
+    """
+    for param, value in params.items():
+        if value < minimum:
+            raise ValueError(
+                f"{name}: {param} must be >= {minimum}, got {value}"
+            )
 
 
 def zipf_addresses(rng, footprint_blocks: int, count: int, alpha: float = 1.2):

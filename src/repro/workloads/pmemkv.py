@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import Workload, synthetic, zipf_addresses
+from repro.workloads.base import (
+    Workload,
+    check_at_least,
+    synthetic,
+    zipf_addresses,
+)
 
 BLOCK = 64
 
@@ -55,10 +60,12 @@ def pmemkv(put_fraction: float, footprint_bytes: int = 16 << 20,
            gap: int = 10) -> Workload:
     if not 0 <= put_fraction <= 1:
         raise ValueError("put_fraction must be in [0, 1]")
-    suffix = "put" if put_fraction >= 0.5 else "get"
+    name = "pmemkv_put" if put_fraction >= 0.5 else "pmemkv_get"
+    check_at_least(name, 0, index_levels=index_levels)
     return synthetic(
-        f"pmemkv_{suffix}",
+        name,
         _pmemkv_generator(put_fraction, index_levels, gap),
         footprint_bytes,
         num_refs,
+        gap=gap,
     )

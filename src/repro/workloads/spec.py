@@ -87,26 +87,29 @@ def _milc_generator(stride_blocks: int, gap: int):
 
 def mcf(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
         gap: int = 6) -> Workload:
-    return synthetic("mcf", _mcf_generator(gap), footprint_bytes, num_refs)
+    return synthetic("mcf", _mcf_generator(gap), footprint_bytes, num_refs,
+                     gap=gap)
 
 
 def lbm(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
         gap: int = 5) -> Workload:
-    return synthetic("lbm", _lbm_generator(gap), footprint_bytes, num_refs)
+    return synthetic("lbm", _lbm_generator(gap), footprint_bytes, num_refs,
+                     gap=gap)
 
 
 def libquantum(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
                gap: int = 4) -> Workload:
     return synthetic("libquantum", _libquantum_generator(gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)
 
 
 def gcc(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
         gap: int = 40) -> Workload:
-    return synthetic("gcc", _gcc_generator(gap), footprint_bytes, num_refs)
+    return synthetic("gcc", _gcc_generator(gap), footprint_bytes, num_refs,
+                     gap=gap)
 
 
 def milc(footprint_bytes: int = 32 << 20, num_refs: int = 20_000,
          stride_blocks: int = 5, gap: int = 8) -> Workload:
     return synthetic("milc", _milc_generator(stride_blocks, gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)

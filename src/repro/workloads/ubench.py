@@ -28,4 +28,4 @@ def ubench(stride: int, footprint_bytes: int = 16 << 20,
     if stride <= 0:
         raise ValueError("stride must be positive")
     return synthetic(f"ubench{stride}", _ubench_generator(stride, gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)

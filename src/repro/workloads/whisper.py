@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.workloads.base import Workload, synthetic
+from repro.workloads.base import Workload, check_at_least, synthetic
 
 BLOCK = 64
 
@@ -150,30 +150,35 @@ def _echo_generator(gap: int):
 
 def ctree(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
           depth: int = 4, gap: int = 8) -> Workload:
+    check_at_least("ctree", 0, depth=depth)
     return synthetic("ctree", _ctree_generator(depth, gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)
 
 
 def hashmap(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
             chain: int = 3, gap: int = 8) -> Workload:
+    check_at_least("hashmap", 1, chain=chain)
     return synthetic("hashmap", _hashmap_generator(chain, gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)
 
 
 def redo_log(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
              batch: int = 8, gap: int = 6) -> Workload:
+    check_at_least("redo_log", 1, batch=batch)
     return synthetic("redo_log", _redo_log_generator(batch, gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)
 
 
 def tpcc(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
          records_per_tx: int = 6, gap: int = 10) -> Workload:
     """TPC-C-style new-order transactions over persistent tables."""
+    check_at_least("tpcc", 1, records_per_tx=records_per_tx)
     return synthetic("tpcc", _tpcc_generator(records_per_tx, gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)
 
 
 def echo(footprint_bytes: int = 16 << 20, num_refs: int = 20_000,
          gap: int = 8) -> Workload:
     """Echo-style versioned KV store: append-only heap + small index."""
-    return synthetic("echo", _echo_generator(gap), footprint_bytes, num_refs)
+    return synthetic("echo", _echo_generator(gap), footprint_bytes, num_refs,
+                     gap=gap)

@@ -42,7 +42,7 @@ def ycsb(
     if name is None:
         name = f"ycsb_r{int(read_fraction * 100)}"
     return synthetic(name, _ycsb_generator(read_fraction, alpha, gap),
-                     footprint_bytes, num_refs)
+                     footprint_bytes, num_refs, gap=gap)
 
 
 def ycsb_a(**kwargs) -> Workload:

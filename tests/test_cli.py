@@ -87,6 +87,14 @@ class TestCommands:
     def test_perf_unknown_workload(self, capsys):
         assert main(["perf", "--workloads", "doom"]) == 1
 
+    def test_perf_size_error_names_a_requested_workload(self, capsys):
+        code = main(["perf", "--footprint-mb", "0",
+                     "--workloads", "echo", "mcf", "pmemkv_put"])
+        assert code == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("invalid workload: ")
+        assert line.split(": ")[1] in ("echo", "mcf", "pmemkv_put")
+
     def test_perf_checkpoint_resume_roundtrip(self, capsys, tmp_path):
         """A checkpointed perf sweep resumed from its checkpoint emits a
         sweep/v1 report whose results are bit-identical to a clean run."""

@@ -370,6 +370,41 @@ class TestRekey:
             assert recovered.read(bi).data == data
 
 
+class TestRequestValidation:
+    """A request is checked once, before any counter moves: a refused
+    request leaves every instrument where it was."""
+
+    @pytest.mark.parametrize("op, block, size, error", [
+        ("read", "past-end", None, IndexError),
+        ("read", -1, None, IndexError),
+        ("write", "past-end", 64, IndexError),
+        ("write", -1, 64, IndexError),
+        ("write", 0, 63, ValueError),
+    ])
+    def test_refused_request_moves_no_counter(self, op, block, size, error):
+        from repro.sim import SecureSystem, SystemConfig
+
+        system = SecureSystem("sac", SystemConfig.scaled(32))
+        ctrl = system.controller
+        ctrl.write(3, b"\x01" * 64)
+        ctrl.read(3)
+        if block == "past-end":
+            block = ctrl.num_data_blocks
+        before = system.registry.snapshot()
+        with pytest.raises(error):
+            if op == "read":
+                ctrl.read(block)
+            else:
+                ctrl.write(block, bytes(size))
+        assert system.registry.snapshot() == before
+
+    def test_index_error_names_the_range(self, ctrl):
+        with pytest.raises(
+            IndexError, match=r"data block index 4096 out of range \[0, 4096\)"
+        ):
+            ctrl.read(4096)
+
+
 class TestConstruction:
     def test_nvm_capacity_validated(self):
         from repro.memory import NvmDevice

@@ -268,3 +268,42 @@ class TestSizeValidation:
             addresses, _, _ = workload.reference_arrays()
             assert len(addresses) == 3000
             assert addresses.min() >= 0 and addresses.max() < 512
+
+
+class TestShapeValidation:
+    """Kernel shapes that would hang, crash or silently misbehave are
+    refused with an error naming the workload."""
+
+    @pytest.mark.parametrize("factory, args, kwargs", [
+        ("redo_log", (), {"batch": 0}),
+        ("redo_log", (), {"batch": -1}),
+        ("tpcc", (), {"records_per_tx": 0}),
+        ("tpcc", (), {"records_per_tx": -2}),
+        ("hashmap", (), {"chain": 0}),
+        ("ctree", (), {"depth": -1}),
+        ("pmemkv", (0.9,), {"index_levels": -1}),
+    ])
+    def test_rejects_bad_shape(self, factory, args, kwargs):
+        name = make_workload((factory, args, {})).name
+        (param,) = kwargs
+        with pytest.raises(ValueError, match=f"{name}: {param} must be >="):
+            make_workload((factory, args, kwargs))
+
+    @pytest.mark.parametrize("factory, args", CONFIGS,
+                             ids=[f + "".join(map(str, a)) for f, a in CONFIGS])
+    def test_rejects_negative_gap(self, factory, args):
+        name = make_workload((factory, args, {})).name
+        with pytest.raises(ValueError, match=f"{name}: gap must be >= 0"):
+            make_workload((factory, args, {"gap": -1}))
+
+    @pytest.mark.parametrize("factory, kwargs", [
+        ("redo_log", {"batch": 1}),
+        ("tpcc", {"records_per_tx": 1}),
+        ("hashmap", {"chain": 1}),
+        ("ctree", {"depth": 0}),
+        ("mcf", {"gap": 0}),
+    ])
+    def test_smallest_shape_fills_its_stream(self, factory, kwargs):
+        workload = make_workload((factory, (), dict(kwargs, num_refs=500)))
+        addresses, _, gaps = workload.reference_arrays()
+        assert len(addresses) == 500 and gaps.min() >= 0
