@@ -428,30 +428,18 @@ def _print_scenario_catalog() -> None:
         print(f"{'':<22} {'':>6} {'':>6}  models: {s.models}")
 
 
-def _chaos_scenarios(args) -> int:
-    from repro.faults import (
-        ScenarioConfig,
-        SilentCorruptionError,
-        run_scenario_campaign,
-    )
+def _run_chaos(args, run, print_table) -> int:
+    """Shared body of ``repro chaos``: run the campaign under the
+    runtime flags, print its table and verdict, write ``--out``, and map
+    the outcome to an exit code.  ``run(**runtime)`` returns the report
+    as a dict."""
+    from repro.faults import SilentCorruptionError
     from repro.faults.scenarios import report_to_json
 
-    names = tuple(args.scenario)
-    if "all" in names:
-        names = ()
-    config = ScenarioConfig(
-        data_bytes=_parse_size(args.size),
-        seed=args.seed,
-        schemes=tuple(args.schemes),
-        scenarios=names,
-        mode=args.mode,
-        enforce_invariant=not args.no_enforce,
-        trace=args.trace,
-    )
     runtime = _runtime_kwargs(args)
     try:
-        report = run_scenario_campaign(
-            config, jobs=args.jobs,
+        report = run(
+            jobs=args.jobs,
             checkpoint=runtime["checkpoint"], resume=runtime["resume"],
             max_failures=runtime["max_failures"],
             cell_timeout=runtime["timeout"],
@@ -465,12 +453,7 @@ def _chaos_scenarios(args) -> int:
         print(f"ABORTED: {exc}")
         return EXIT_ABORTED
 
-    print(f"{'scenario':<22} {'runs':>5} {'violations':>11} "
-          f"{'rec.fail':>9} {'quarantined':>12} {'mean UDR':>9}")
-    for name, s in report["scenarios"].items():
-        print(f"{name:<22} {s['runs']:>5} {s['violations']:>11} "
-              f"{s['recovery_failures']:>9} {s['quarantined_nodes']:>12} "
-              f"{s['mean_empirical_udr']:>9.4f}")
+    print_table(report)
     print(f"no-silent-corruption invariant: "
           f"{'HELD' if report['invariant_ok'] else 'VIOLATED'}")
     if args.out:
@@ -488,20 +471,56 @@ def _chaos_scenarios(args) -> int:
     return 0
 
 
+def _print_scenario_table(report: dict) -> None:
+    print(f"{'scenario':<22} {'runs':>5} {'violations':>11} "
+          f"{'rec.fail':>9} {'quarantined':>12} {'mean UDR':>9}")
+    for name, s in report["scenarios"].items():
+        print(f"{name:<22} {s['runs']:>5} {s['violations']:>11} "
+              f"{s['recovery_failures']:>9} {s['quarantined_nodes']:>12} "
+              f"{s['mean_empirical_udr']:>9.4f}")
+
+
+def _print_campaign_table(report: dict) -> None:
+    print(f"{'scheme':>9} {'runs':>5} {'mean UDR':>10} {'max UDR':>9} "
+          f"{'repairs':>8} {'quarantined':>12} {'violations':>11}")
+    for scheme, s in report["schemes"].items():
+        print(f"{scheme:>9} {s['runs']:>5} {s['mean_empirical_udr']:>10.4f} "
+              f"{s['max_empirical_udr']:>9.4f} {s['total_repairs']:>8} "
+              f"{s['quarantined_bytes']:>10} B {s['violations']:>11}")
+    for scheme, r in report["resilience"].items():
+        ratio = r["baseline_over_scheme"]
+        ratio_text = "inf" if ratio is None else f"{ratio:.1f}x"
+        print(f"baseline vs {scheme}: {ratio_text} "
+              f"({'>=10x: yes' if r['ge_10x'] else '>=10x: NO'})")
+
+
 def cmd_chaos(args) -> int:
     if args.list_scenarios:
         _print_scenario_catalog()
         return 0
     if args.scenario:
-        return _chaos_scenarios(args)
+        from repro.faults import ScenarioConfig, run_scenario_campaign
+
+        names = tuple(args.scenario)
+        if "all" in names:
+            names = ()
+        config = ScenarioConfig(
+            data_bytes=_parse_size(args.size),
+            seed=args.seed,
+            schemes=tuple(args.schemes),
+            scenarios=names,
+            mode=args.mode,
+            enforce_invariant=not args.no_enforce,
+            trace=args.trace,
+        )
+        return _run_chaos(
+            args, lambda **runtime: run_scenario_campaign(config, **runtime),
+            _print_scenario_table,
+        )
     if args.trace:
         raise SystemExit("--trace requires --scenario (external traces "
                          "drive the scenario engine's workload stream)")
-    from repro.faults import (
-        CampaignConfig,
-        SilentCorruptionError,
-        run_campaign,
-    )
+    from repro.faults import CampaignConfig, run_campaign
 
     config = CampaignConfig(
         data_bytes=_parse_size(args.size),
@@ -515,49 +534,10 @@ def cmd_chaos(args) -> int:
         enforce_invariant=not args.no_enforce,
         oracle=args.oracle,
     )
-    runtime = _runtime_kwargs(args)
-    try:
-        report = run_campaign(
-            config, jobs=args.jobs,
-            checkpoint=runtime["checkpoint"], resume=runtime["resume"],
-            max_failures=runtime["max_failures"],
-            cell_timeout=runtime["timeout"],
-            store=runtime["store"], queue=runtime["queue"],
-            lease_ttl=runtime.get("lease_ttl"),
-        )
-    except SilentCorruptionError as exc:
-        print(f"INVARIANT VIOLATED: {exc}")
-        return 1
-    except TooManyFailuresError as exc:
-        print(f"ABORTED: {exc}")
-        return EXIT_ABORTED
-
-    print(f"{'scheme':>9} {'runs':>5} {'mean UDR':>10} {'max UDR':>9} "
-          f"{'repairs':>8} {'quarantined':>12} {'violations':>11}")
-    for scheme, s in report.schemes.items():
-        print(f"{scheme:>9} {s['runs']:>5} {s['mean_empirical_udr']:>10.4f} "
-              f"{s['max_empirical_udr']:>9.4f} {s['total_repairs']:>8} "
-              f"{s['quarantined_bytes']:>10} B {s['violations']:>11}")
-    for scheme, r in report.resilience.items():
-        ratio = r["baseline_over_scheme"]
-        ratio_text = "inf" if ratio is None else f"{ratio:.1f}x"
-        print(f"baseline vs {scheme}: {ratio_text} "
-              f"({'>=10x: yes' if r['ge_10x'] else '>=10x: NO'})")
-    print(f"no-silent-corruption invariant: "
-          f"{'HELD' if report.invariant_ok else 'VIOLATED'}")
-    if args.out:
-        atomic_write_text(args.out, report.to_json() + "\n")
-        print(f"wrote {args.out}")
-    if not report.invariant_ok:
-        return 1
-    if report.interrupted:
-        salvage = report.salvage
-        print(f"INTERRUPTED: salvaged {salvage.get('completed', 0)}"
-              f"/{salvage.get('total', 0)} runs"
-              + (f"; resume with --resume {args.resume or args.checkpoint}"
-                 if (args.resume or args.checkpoint) else ""))
-        return EXIT_INTERRUPTED
-    return 0
+    return _run_chaos(
+        args, lambda **runtime: run_campaign(config, **runtime).to_dict(),
+        _print_campaign_table,
+    )
 
 
 def cmd_verify(args) -> int:

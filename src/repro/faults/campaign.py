@@ -12,11 +12,14 @@ mirror, enforcing the paper's central resilience obligation:
     typed :class:`~repro.controller.SecureMemoryError`, or listed in
     the quarantine report — never returned to the caller as valid data.
 
-The audit classifies each block as ``intact`` (matches the mirror),
-``data_due`` (its own cells took the DUE — the paper's L_error),
-``quarantined`` / ``unverifiable`` (metadata loss — L_unverifiable), or
-a *violation* (wrong bytes returned without an exception).  Violations
-fail the campaign with :class:`SilentCorruptionError`.
+Each run is the shared mirror harness of :mod:`repro.verify.audit`: the
+chaos op loop (:class:`~repro.verify.audit.ChaosRun`) prefills and
+drives the controller, and :func:`~repro.verify.audit.audit_mirror`
+classifies each block as ``intact`` (matches the mirror), ``data_due``
+(its own cells took the DUE — the paper's L_error), ``quarantined`` /
+``unverifiable`` (metadata loss — L_unverifiable), or a *violation*
+(wrong bytes returned without an exception).  Violations fail the
+campaign with :class:`SilentCorruptionError`.
 
 The per-run fraction of unverifiable bytes is the *empirical* UDR; the
 report places it next to the analytical model of
@@ -33,18 +36,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.analysis.udr import compute_udr, scheme_depths
-from repro.controller import (
-    DataPoisonedError,
-    IntegrityError,
-    MetadataScrubber,
-    QuarantinedError,
-    SecureMemoryError,
-)
+from repro.controller import MetadataScrubber, SecureMemoryError
 from repro.core import make_controller
 from repro.faults.injector import INJECTION_TARGETS, FaultInjector
 from repro.schemes import PAPER_SCHEMES, reference_scheme, resolve_scheme
 from repro.telemetry import SCHEMA_VERSION as TELEMETRY_SCHEMA
-from repro.verify.audit import audit_mirror
+from repro.verify.audit import ChaosRun, ChaosStream, audit_mirror
 
 
 class SilentCorruptionError(AssertionError):
@@ -170,16 +167,21 @@ class CampaignReport:
 # single run
 
 
+def _mix(seed: int, tag: str) -> int:
+    """The campaign seed-mixing idiom: a pure function of the config
+    seed and a structural tag, so adding or reordering sweep axes,
+    scenarios or phases never reshuffles the randomness of unrelated
+    runs."""
+    digest = 0
+    for ch in tag:
+        digest = (digest * 131 + ord(ch)) % 1_000_003
+    return seed * 1_000_003 + digest
+
+
 def _run_seed(config: CampaignConfig, scheme: str, target: str,
               scrub_interval: int) -> int:
-    """Stable per-run seed: a pure function of the config seed and the
-    sweep point, so adding or reordering sweep axes never reshuffles the
-    randomness of unrelated runs."""
-    mix = f"{scheme}/{target}/{scrub_interval}"
-    digest = 0
-    for ch in mix:
-        digest = (digest * 131 + ord(ch)) % 1_000_003
-    return config.seed * 1_000_003 + digest
+    """Stable per-run seed of one sweep point."""
+    return _mix(config.seed, f"{scheme}/{target}/{scrub_interval}")
 
 
 def run_single(
@@ -187,7 +189,6 @@ def run_single(
 ) -> RunResult:
     """One fully-seeded injection run; see the module docstring."""
     seed = _run_seed(config, scheme, target, scrub_interval)
-    rng = np.random.default_rng(seed)
     ctrl = make_controller(
         scheme,
         config.data_bytes,
@@ -196,24 +197,15 @@ def run_single(
         metadata_cache_bytes=config.metadata_cache_bytes,
         rng=np.random.default_rng(seed + 1),
     )
-    num_blocks = ctrl.num_data_blocks
-    block_size = ctrl.nvm.block_size
-
     oracle = None
     if config.oracle:
         from repro.verify import Oracle
 
         oracle = Oracle(ctrl).attach()
 
-    # Prefill every block so all metadata regions carry real state, then
-    # flush so the injector's touched-only candidates span the layout.
-    mirror = {}
-    for block in range(num_blocks):
-        data = bytes(rng.integers(0, 256, size=block_size, dtype=np.uint8))
-        ctrl.write(block, data)
-        mirror[block] = data
-    ctrl.flush()
-
+    stream = ChaosStream(np.random.default_rng(seed), ctrl.num_data_blocks,
+                         config.write_fraction)
+    run = ChaosRun(ctrl, stream)
     injector = FaultInjector(
         ctrl,
         targets=(target,),
@@ -230,35 +222,7 @@ def run_single(
             max_retries=config.scrub_max_retries,
             backoff=config.scrub_backoff,
         )
-
-    run_errors = {"data_due": 0, "quarantined": 0, "integrity": 0}
-    violations = []
-    for op in range(config.ops):
-        injector.poll(op)
-        if scrubber is not None:
-            scrubber.tick(1)
-        block = int(rng.integers(0, num_blocks))
-        is_write = bool(rng.random() < config.write_fraction)
-        data = None
-        if is_write:
-            data = bytes(
-                rng.integers(0, 256, size=block_size, dtype=np.uint8)
-            )
-        try:
-            if is_write:
-                ctrl.write(block, data)
-                mirror[block] = data
-            else:
-                got = ctrl.read(block).data
-                if got != mirror[block]:
-                    violations.append({"phase": "run", "op": op,
-                                       "block": block})
-        except DataPoisonedError:
-            run_errors["data_due"] += 1
-        except QuarantinedError:
-            run_errors["quarantined"] += 1
-        except IntegrityError:
-            run_errors["integrity"] += 1
+    run.do_ops(config.ops, injector=injector, scrubber=scrubber)
 
     injector.drain()
     if scrubber is not None:
@@ -284,8 +248,8 @@ def run_single(
             recovery = f"failed:{type(exc).__name__}"
             ctrl = None
 
-    audit, audit_violations = audit_mirror(ctrl, mirror)
-    violations.extend(audit_violations)
+    audit, audit_violations = audit_mirror(ctrl, run.mirror)
+    violations = run.violations + audit_violations
 
     oracle_summary = None
     if oracle is not None:
@@ -311,7 +275,7 @@ def run_single(
         scrub_interval=scrub_interval,
         seed=seed,
         injector=injector.summary(),
-        run_errors=run_errors,
+        run_errors=run.run_errors,
         audit=audit,
         violations=violations,
         stats={
@@ -326,15 +290,43 @@ def run_single(
         } if stats_src is not None else {},
         quarantine=quarantine_entries,
         recovery=recovery,
-        empirical_udr=unverifiable_blocks * block_size / (
-            len(mirror) * block_size
-        ),
+        empirical_udr=unverifiable_blocks / len(run.mirror),
         oracle=oracle_summary,
     )
 
 
 # ----------------------------------------------------------------------
 # sweep
+
+
+def _sweep_cells(what: str, cells, runner, *, lease_ttl: float = None,
+                **engine_kwargs) -> tuple:
+    """Run chaos cells through :class:`repro.sim.SweepEngine`.
+
+    Raises ``RuntimeError`` naming the first failed cells (an
+    interrupted cell is salvage, not a failure).  Returns ``(outcomes,
+    sweep)``, where ``sweep`` holds the report's ``interrupted``,
+    ``salvage`` and ``runtime`` fields.  ``lease_ttl=None`` keeps the
+    engine's default lease.
+    """
+    from repro.sim.sweep import SweepEngine, salvage_counts
+
+    if lease_ttl is not None:
+        engine_kwargs["lease_ttl"] = lease_ttl
+    engine = SweepEngine(cells, runner=runner, **engine_kwargs)
+    outcomes = engine.run()
+    failed = [o for o in outcomes
+              if not o.ok and o.failure_class != "interrupted"]
+    if failed:
+        raise RuntimeError(
+            f"{len(failed)} {what} run(s) failed: "
+            + "; ".join(f"{o.label}: {o.error}" for o in failed[:3])
+        )
+    return outcomes, {
+        "interrupted": engine.interrupted,
+        "salvage": salvage_counts(outcomes),
+        "runtime": engine.registry.snapshot(),
+    }
 
 
 def _campaign_cell(cell):
@@ -377,24 +369,11 @@ def run_campaign(config: CampaignConfig = None, jobs: int = 1,
         for target in config.targets
         for interval in config.scrub_intervals
     ]
-    from repro.sim.sweep import SweepEngine, salvage_counts
-
-    engine_kwargs = {}
-    if lease_ttl is not None:
-        engine_kwargs["lease_ttl"] = lease_ttl
-    engine = SweepEngine(
-        cells, runner=_campaign_cell, jobs=jobs, progress=progress,
+    outcomes, sweep = _sweep_cells(
+        "campaign", cells, _campaign_cell, jobs=jobs, progress=progress,
         checkpoint=checkpoint, resume=resume, max_failures=max_failures,
-        timeout=cell_timeout, store=store, queue=queue, **engine_kwargs,
+        timeout=cell_timeout, store=store, queue=queue, lease_ttl=lease_ttl,
     )
-    outcomes = engine.run()
-    failed = [o for o in outcomes
-              if not o.ok and o.failure_class != "interrupted"]
-    if failed:
-        raise RuntimeError(
-            f"{len(failed)} campaign run(s) failed: "
-            + "; ".join(f"{o.label}: {o.error}" for o in failed[:3])
-        )
 
     runs = []
     poisoned_fractions = {}
@@ -463,9 +442,7 @@ def run_campaign(config: CampaignConfig = None, jobs: int = 1,
         schemes=schemes,
         resilience=resilience,
         invariant_ok=violations == 0,
-        interrupted=engine.interrupted,
-        salvage=salvage_counts(outcomes),
-        runtime=engine.registry.snapshot(),
+        **sweep,
     )
     if config.enforce_invariant and violations:
         bad = [v for r in runs for v in r.violations]

@@ -57,10 +57,6 @@ class FaultSimConfig:
     def hours(self) -> float:
         return self.years * HOURS_PER_YEAR
 
-    def class_rate_per_hour(self, fault_class: str) -> float:
-        """Arrival rate of one fault class per chip per hour."""
-        return self.fit_per_device * self.relative_rates[fault_class] / 1e9
-
     def expected_faults_per_chip(self) -> float:
         return self.fit_per_device / 1e9 * self.hours
 

@@ -8,11 +8,14 @@ invariants) attached for the whole run, so the no-silent-corruption
 invariant holds for every scenario *by construction*: wrong bytes can
 only surface as a violation, never as a clean result.
 
-Phases are pure data; every phase derives its randomness (fault
-arrivals, burst placement, offline range, workload stream) from a seed
-that is a pure function of ``(config.seed, scenario, scheme, phase
-index)``, so a scenario campaign is bit-identical whether run serially,
-across worker processes, or resumed from a checkpoint mid-campaign.
+Every run drives the chaos op loop of :mod:`repro.verify.audit` (the
+one :func:`~repro.faults.run_single` uses) and ends in its
+:func:`~repro.verify.audit.audit_mirror`.  Phases are pure data; every
+phase derives its randomness (fault arrivals, burst placement, offline
+range, workload stream) from a seed that is a pure function of
+``(config.seed, scenario, scheme, phase index)``, so a scenario
+campaign is bit-identical whether run serially, across worker
+processes, or resumed from a checkpoint mid-campaign.
 
 Phase kinds:
 
@@ -53,20 +56,13 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.controller import (
-    DataPoisonedError,
-    IntegrityError,
-    MetadataScrubber,
-    QuarantinedError,
-    RecoveryError,
-    SecureMemoryError,
-)
+from repro.controller import MetadataScrubber, SecureMemoryError
 from repro.core import make_controller
-from repro.faults.campaign import SilentCorruptionError
+from repro.faults.campaign import SilentCorruptionError, _mix, _sweep_cells
 from repro.faults.injector import INJECTION_TARGETS, FaultInjector
 from repro.schemes import resolve_scheme
 from repro.telemetry import SCHEMA_VERSION as TELEMETRY_SCHEMA
-from repro.verify.audit import audit_mirror
+from repro.verify.audit import ChaosRun, ChaosStream, audit_mirror
 
 SCENARIO_SCHEMA = "scenario/v1"
 
@@ -312,16 +308,6 @@ class ScenarioConfig:
 # seeding
 
 
-def _mix(seed: int, tag: str) -> int:
-    """The campaign seed-mixing idiom: a pure function of the config
-    seed and a structural tag, so adding scenarios or phases never
-    reshuffles the randomness of unrelated cells."""
-    digest = 0
-    for ch in tag:
-        digest = (digest * 131 + ord(ch)) % 1_000_003
-    return seed * 1_000_003 + digest
-
-
 def _phase_seed(config: ScenarioConfig, scenario: str, scheme: str,
                 index: int) -> int:
     return _mix(config.seed, f"{scenario}/{scheme}/phase{index}")
@@ -346,96 +332,15 @@ def _arrivals(phase: Phase, rng) -> list:
 # execution
 
 
-class _Stream:
-    """The workload reference stream for one run.
+class _Run(ChaosRun):
+    """A chaos run plus the scenario's verify session and phase state."""
 
-    Synthetic mode draws uniform blocks from the currently-online slice
-    of the device; trace mode replays an external reference stream
-    (cycling if the scenario outlasts it), remapping block indices onto
-    the online slice so shrink/regrow applies to traces too.
-    """
-
-    def __init__(self, config: ScenarioConfig, num_blocks: int, seed: int):
-        self.rng = np.random.default_rng(seed)
-        self.num_blocks = num_blocks
-        self.online = list(range(num_blocks))
-        self._refs = None
-        self._cursor = 0
-        if config.trace:
-            from repro.workloads.trace import load_external
-
-            self._refs = load_external(config.trace).references
-            if not self._refs:
-                raise ValueError(f"trace {config.trace!r} is empty")
-        self.write_fraction = config.write_fraction
-
-    def take_offline(self, blocks) -> None:
-        gone = set(blocks)
-        self.online = [b for b in self.online if b not in gone]
-        if not self.online:
-            raise ValueError("offline phase would remove every block")
-
-    def bring_online(self, blocks) -> None:
-        self.online = sorted(set(self.online) | set(blocks))
-
-    def next_op(self):
-        """-> (block, is_write).  Deterministic given the seed."""
-        if self._refs is None:
-            block = self.online[int(self.rng.integers(0, len(self.online)))]
-            is_write = bool(self.rng.random() < self.write_fraction)
-            return block, is_write
-        address, is_write, _gap = self._refs[self._cursor]
-        self._cursor = (self._cursor + 1) % len(self._refs)
-        block = self.online[(address // 64) % len(self.online)]
-        return block, bool(is_write)
-
-
-class _Run:
-    """Mutable state threaded through one scenario execution."""
-
-    def __init__(self, ctrl, session, stream, mirror):
-        self.ctrl = ctrl
+    def __init__(self, ctrl, stream, session):
+        super().__init__(ctrl, stream)
         self.session = session
-        self.stream = stream
-        self.mirror = mirror
-        self.run_errors = {"data_due": 0, "quarantined": 0, "integrity": 0}
-        self.violations = []
         self.recovery = []           # one entry per power cut
         self.offline = []            # currently-offline block indices
-        self.op = 0                  # global operation counter
         self.aborted = False         # recovery refused a controller
-
-
-def _do_ops(run: _Run, count: int, injector=None, scrubber=None) -> None:
-    ctrl = run.ctrl
-    rng = run.stream.rng
-    block_size = ctrl.nvm.block_size
-    for local_op in range(count):
-        if injector is not None:
-            injector.poll(local_op)
-        if scrubber is not None:
-            scrubber.tick(1)
-        block, is_write = run.stream.next_op()
-        try:
-            if is_write:
-                data = bytes(
-                    rng.integers(0, 256, size=block_size, dtype=np.uint8)
-                )
-                ctrl.write(block, data)
-                run.mirror[block] = data
-            else:
-                got = ctrl.read(block).data
-                if got != run.mirror[block]:
-                    run.violations.append(
-                        {"phase": "run", "op": run.op, "block": block}
-                    )
-        except DataPoisonedError:
-            run.run_errors["data_due"] += 1
-        except QuarantinedError:
-            run.run_errors["quarantined"] += 1
-        except IntegrityError:
-            run.run_errors["integrity"] += 1
-        run.op += 1
 
 
 def _make_injector(config: ScenarioConfig, phase: Phase, run: _Run,
@@ -471,7 +376,7 @@ def _phase_ops(config: ScenarioConfig, phase: Phase, run: _Run,
             max_retries=config.scrub_max_retries,
             backoff=config.scrub_backoff,
         )
-    _do_ops(run, phase.ops, injector=injector, scrubber=scrubber)
+    run.do_ops(phase.ops, injector=injector, scrubber=scrubber)
     summary = {}
     if injector is not None:
         injector.drain()
@@ -498,7 +403,7 @@ def _phase_power_cut(config: ScenarioConfig, phase: Phase, run: _Run,
         image = run.ctrl.crash()
         try:
             recovered, _ = recover_image(image)
-        except (RecoveryError, SecureMemoryError) as exc:
+        except SecureMemoryError as exc:
             outcome = f"failed:{type(exc).__name__}"
             run.recovery.append(outcome)
             cuts.append({"recovery": outcome, "injector": injected})
@@ -510,7 +415,7 @@ def _phase_power_cut(config: ScenarioConfig, phase: Phase, run: _Run,
         run.ctrl = recovered
         run.session.rebind(recovered)
         if phase.ops:
-            _do_ops(run, phase.ops)
+            run.do_ops(phase.ops)
     return {"cuts": cuts}
 
 
@@ -557,21 +462,10 @@ def run_scenario(config: ScenarioConfig, scenario_name: str,
     session = VerifySession(
         ctrl, oracle=config.oracle, invariants=config.invariants
     ).attach()
-    stream = _Stream(config, ctrl.num_data_blocks, base_seed + 2)
-
-    # Prefill so every metadata region carries real state and the audit
-    # mirror covers the whole device.
-    mirror = {}
-    block_size = ctrl.nvm.block_size
-    for block in range(ctrl.num_data_blocks):
-        data = bytes(
-            stream.rng.integers(0, 256, size=block_size, dtype=np.uint8)
-        )
-        ctrl.write(block, data)
-        mirror[block] = data
-    ctrl.flush()
-
-    run = _Run(ctrl, session, stream, mirror)
+    stream = ChaosStream(np.random.default_rng(base_seed + 2),
+                         ctrl.num_data_blocks, config.write_fraction,
+                         config.trace)
+    run = _Run(ctrl, stream, session)
     phase_reports = []
     for index, phase in enumerate(scenario.phases):
         if run.aborted:
@@ -602,7 +496,7 @@ def run_scenario(config: ScenarioConfig, scenario_name: str,
             "invariant_violations": invariants.get("violations", 0),
         })
 
-    audit, audit_violations = audit_mirror(run.ctrl, mirror)
+    audit, audit_violations = audit_mirror(run.ctrl, run.mirror)
     run.violations.extend(audit_violations)
 
     stats = {}
@@ -637,7 +531,7 @@ def run_scenario(config: ScenarioConfig, scenario_name: str,
         "verify": verify,
         "stats": stats,
         "quarantine": quarantine,
-        "empirical_udr": unverifiable / max(1, len(mirror)),
+        "empirical_udr": unverifiable / max(1, len(run.mirror)),
     }
 
 
@@ -713,30 +607,12 @@ def run_scenario_campaign(
         for name in config.scenario_names
         for scheme in config.schemes
     ]
-    from repro.sim.sweep import SweepEngine, salvage_counts
-
-    engine_kwargs = {}
-    if lease_ttl is not None:
-        engine_kwargs["lease_ttl"] = lease_ttl
-    engine = SweepEngine(
-        cells, runner=_scenario_cell, jobs=jobs, progress=progress,
+    outcomes, sweep = _sweep_cells(
+        "scenario", cells, _scenario_cell, jobs=jobs, progress=progress,
         checkpoint=checkpoint, resume=resume, max_failures=max_failures,
-        timeout=cell_timeout, store=store, queue=queue, **engine_kwargs,
+        timeout=cell_timeout, store=store, queue=queue, lease_ttl=lease_ttl,
     )
-    outcomes = engine.run()
-    failed = [o for o in outcomes
-              if not o.ok and o.failure_class != "interrupted"]
-    if failed:
-        raise RuntimeError(
-            f"{len(failed)} scenario run(s) failed: "
-            + "; ".join(f"{o.label}: {o.error}" for o in failed[:3])
-        )
-    report = scenario_report(
-        config, outcomes,
-        interrupted=engine.interrupted,
-        salvage=salvage_counts(outcomes),
-        runtime=engine.registry.snapshot(),
-    )
+    report = scenario_report(config, outcomes, **sweep)
     if config.enforce_invariant and not report["invariant_ok"]:
         bad = [v for r in report["runs"] for v in r["violations"]]
         raise SilentCorruptionError(

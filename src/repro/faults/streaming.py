@@ -4,11 +4,8 @@ A 1e8-trial campaign cannot hold per-trial samples in memory, and a
 checkpointed campaign must produce *bit-identical* estimates whether its
 batches arrive in one uninterrupted run, across a SIGTERM/resume
 boundary, or merged from parallel workers in any order.  This module
-provides the two layers that make that possible:
+provides the accumulator that makes that possible:
 
-* :class:`WelfordState` — classic online mean/variance with Chan's
-  parallel merge rule, for consumers that genuinely stream one value at
-  a time.
 * :class:`McBatchStat` / :class:`McEstimatorState` — the campaign
   accumulator.  Each batch contributes exact *per-batch sums* (computed
   once, deterministically, from the batch arrays), keyed by
@@ -31,68 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Mapping, Tuple
 
 __all__ = [
-    "WelfordState",
     "wilson_interval",
     "wald_half_width",
     "mean_and_variance",
     "McBatchStat",
     "McEstimatorState",
 ]
-
-
-# ---------------------------------------------------------------------------
-# online mean / variance
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WelfordState:
-    """Online mean/variance (Welford 1962, Chan et al. 1983 merge).
-
-    ``update`` folds in one observation; ``merge`` combines two states
-    as if their observations had been seen by a single accumulator.
-    """
-
-    count: int = 0
-    mean: float = 0.0
-    m2: float = 0.0
-
-    def update(self, value: float) -> None:
-        self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (value - self.mean)
-
-    def update_batch(self, values: Iterable[float]) -> None:
-        for value in values:
-            self.update(float(value))
-
-    def merge(self, other: "WelfordState") -> "WelfordState":
-        """Return a new state equivalent to seeing both streams."""
-        if other.count == 0:
-            return WelfordState(self.count, self.mean, self.m2)
-        if self.count == 0:
-            return WelfordState(other.count, other.mean, other.m2)
-        count = self.count + other.count
-        delta = other.mean - self.mean
-        mean = self.mean + delta * other.count / count
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / count
-        return WelfordState(count, mean, m2)
-
-    @property
-    def variance(self) -> float:
-        """Unbiased sample variance (0.0 with fewer than two samples)."""
-        if self.count < 2:
-            return 0.0
-        return self.m2 / (self.count - 1)
-
-    @property
-    def std_error(self) -> float:
-        if self.count < 1:
-            return 0.0
-        return math.sqrt(self.variance / self.count)
 
 
 # ---------------------------------------------------------------------------

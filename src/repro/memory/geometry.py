@@ -42,11 +42,6 @@ class DimmGeometry:
             raise ValueError("data block must stripe evenly across the bus")
 
     @property
-    def bits_per_chip(self) -> int:
-        """Storage bits in one chip."""
-        return self.banks * self.rows * self.cols * self.bus_bits_per_chip
-
-    @property
     def beats_per_block(self) -> int:
         """Bus beats (column accesses) needed to move one data block
         through a single chip's bus slice."""

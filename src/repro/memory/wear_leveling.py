@@ -95,8 +95,9 @@ class WearLevelingNvm:
 
     Presents the same block interface as :class:`NvmDevice` for a
     *logical* capacity one block smaller than the backing device (the
-    spare gap line).  Gap relocations copy live data, so contents are
-    preserved across arbitrarily many rotations.  Traffic counters and
+    spare gap line).  Gap relocations move each line with its written
+    state and poison, so contents are preserved across arbitrarily many
+    rotations.  Traffic counters and
     wear figures are the backing device's: physical traffic, gap
     relocations included.
     """
@@ -140,11 +141,16 @@ class WearLevelingNvm:
         self._nvm.write_block(self._physical(address), data)
         relocation = self.remap.note_write()
         if relocation is not None:
-            src, dst = relocation
-            self._nvm.write_block(
-                dst * self.block_size,
-                self._nvm.read_block(src * self.block_size),
-            )
+            # The line moves as it is: one read and one write of wear,
+            # and a never-written line stays unwritten, a poisoned one
+            # poisoned.
+            src, dst = (slot * self.block_size for slot in relocation)
+            data, touched = self._nvm.read_block_touched(src)
+            self._nvm.write_block(dst, data)
+            if not touched:
+                self._nvm.erase_block(dst)
+            if self._nvm.is_poisoned(src):
+                self._nvm.poison_block(dst)
 
     def flip_bits(self, address: int, bit_positions) -> None:
         self._nvm.flip_bits(self._physical(address), bit_positions)

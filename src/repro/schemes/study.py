@@ -59,26 +59,6 @@ def _scheme_registry_row(scheme, data_bytes: int) -> dict:
     }
 
 
-def _run_performance(names, memory_mb: int, workload, seed: int):
-    """{scheme: SimResult} for one shared workload spec."""
-    import numpy as np
-
-    from repro.sim import SecureSystem, SystemConfig
-    from repro.sim.system import _workload_seed
-    from repro.workloads import make_workload
-
-    config = SystemConfig.scaled(memory_mb=memory_mb)
-    results = {}
-    for name in names:
-        system = SecureSystem(
-            scheme=name, config=config, rng=np.random.default_rng(seed)
-        )
-        results[name] = system.run(
-            make_workload(workload, seed=_workload_seed(seed))
-        )
-    return results
-
-
 def _run_recovery(scheme, data_bytes: int, cache_bytes: int, ops: int,
                   write_fraction: float, seed: int) -> dict:
     """Crash one seeded stream under ``scheme`` and audit its recovery.
@@ -89,8 +69,9 @@ def _run_recovery(scheme, data_bytes: int, cache_bytes: int, ops: int,
     """
     import numpy as np
 
-    from repro.controller import QuarantinedError, SecureMemoryError
+    from repro.controller import SecureMemoryError
     from repro.recovery import recover_image, recovery_procedure_for
+    from repro.verify.audit import audit_mirror, drive_first_touch
 
     ctrl = scheme.build(
         data_bytes,
@@ -98,17 +79,8 @@ def _run_recovery(scheme, data_bytes: int, cache_bytes: int, ops: int,
         functional_crypto=True,
         rng=np.random.default_rng(seed + 7),
     )
-    stream = np.random.default_rng(seed + 13)
-    mirror: dict = {}
-    num_blocks = ctrl.num_data_blocks
-    for _ in range(ops):
-        block = int(stream.integers(0, num_blocks))
-        if block not in mirror or stream.random() < write_fraction:
-            data = stream.integers(0, 256, size=64, dtype=np.uint8).tobytes()
-            ctrl.write(block, data)
-            mirror[block] = data
-        else:
-            ctrl.read(block)
+    mirror = drive_first_touch(ctrl, np.random.default_rng(seed + 13), ops,
+                               write_fraction)
 
     image = ctrl.crash()
     nvm = image.nvm
@@ -131,18 +103,10 @@ def _run_recovery(scheme, data_bytes: int, cache_bytes: int, ops: int,
         return row
     nvm_reads = nvm.read_count - reads_before
     nvm_writes = nvm.write_count - writes_before
-    recovered = lost = 0
-    silent = 0
-    for block, data in sorted(mirror.items()):
-        try:
-            read = recovered_ctrl.read(block)
-        except (QuarantinedError, SecureMemoryError):
-            lost += 1
-        else:
-            if read.data == data:
-                recovered += 1
-            else:
-                silent += 1
+    audit, violations = audit_mirror(recovered_ctrl, mirror)
+    recovered = audit["intact"]
+    lost = audit["data_due"] + audit["unverifiable"] + audit["quarantined"]
+    silent = len(violations)
     row.update({
         "nvm_reads": nvm_reads,
         "nvm_writes": nvm_writes,
@@ -197,6 +161,7 @@ def run_scheme_study(
         resolve_scheme,
         scheme_names,
     )
+    from repro.sim import SystemConfig, run_schemes
 
     reference = reference_scheme()
     names = list(schemes) if schemes else list(scheme_names())
@@ -210,7 +175,9 @@ def run_scheme_study(
     data_bytes = memory_mb * MB
     if progress is not None:
         progress(f"performance: {len(order)} schemes x 1 workload")
-    perf = _run_performance(order, memory_mb, workload, seed)
+    perf = run_schemes(workload, schemes=order,
+                       config=SystemConfig.scaled(memory_mb=memory_mb),
+                       seed=seed)
     ref_result = perf[reference.name]
 
     rows = {}

@@ -15,6 +15,9 @@
 * :func:`run_crash_points` — samples power-cut points, runs recovery,
   and asserts the *recovered / reported-lost / quarantined* trichotomy
   (silently-wrong plaintext is a harness failure);
+* :mod:`repro.verify.audit` — the mirror harness every adversarial
+  harness shares: the chaos op loop, the first-touch driver, and
+  :func:`audit_mirror`, the one block classifier;
 * :mod:`repro.verify.replay` — a deterministic op-sequence executor
   shared by the stateful property tests, the checked-in failure corpus,
   and ``repro verify --replay``.

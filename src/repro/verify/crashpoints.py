@@ -34,14 +34,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.controller import (
-    QuarantinedError,
-    RecoveryError,
-    SecureMemoryError,
-)
+from repro.controller import SecureMemoryError
 from repro.core import make_controller
 from repro.recovery import recover_image
 from repro.schemes import resolve_scheme
+from repro.verify.audit import audit_mirror, drive_first_touch
 from repro.verify.oracle import Oracle
 
 KB = 1024
@@ -134,19 +131,10 @@ def _run_point(config: CrashPointConfig, point: int, crash_op: int) -> CrashPoin
         rng=np.random.default_rng(config.seed + 7),
     )
     oracle = Oracle(ctrl).attach()
-    mirror: dict = {}
     # The op stream is shared by every point of the campaign (same
     # seed), so the points sample one execution at increasing depths.
-    stream = np.random.default_rng(config.seed + 13)
-    num_blocks = ctrl.num_data_blocks
-    for _ in range(crash_op):
-        block = int(stream.integers(0, num_blocks))
-        if block not in mirror or stream.random() < config.write_fraction:
-            data = stream.integers(0, 256, size=64, dtype=np.uint8).tobytes()
-            ctrl.write(block, data)
-            mirror[block] = data
-        else:
-            ctrl.read(block)
+    mirror = drive_first_touch(ctrl, np.random.default_rng(config.seed + 13),
+                               crash_op, config.write_fraction)
 
     faulted = bool(config.fault_every) and point % config.fault_every == 0
     if faulted:
@@ -172,28 +160,22 @@ def _run_point(config: CrashPointConfig, point: int, crash_op: int) -> CrashPoin
 
     image = ctrl.crash()
     try:
-        recovered_ctrl, _ = recover_image(image)
+        ctrl, _ = recover_image(image)
         if config.recover_twice:
-            recovered_ctrl, _ = recover_image(recovered_ctrl.crash())
-    except (RecoveryError, SecureMemoryError) as exc:
+            ctrl, _ = recover_image(ctrl.crash())
+    except SecureMemoryError as exc:
         result.recovery = f"failed:{type(exc).__name__}"
-        result.reported_lost = len(mirror)
-        return result
+        ctrl = None
 
-    for block, data in sorted(mirror.items()):
-        try:
-            read = recovered_ctrl.read(block)
-        except QuarantinedError:
-            result.quarantined += 1
-        except SecureMemoryError:
-            result.reported_lost += 1
-        else:
-            if read.data == data:
-                result.recovered += 1
-            elif len(result.silent) < _MAX_SILENT_RECORDS:
-                result.silent.append({"block": block})
-            else:
-                result.silent[-1] = {"block": block, "truncated": True}
+    audit, violations = audit_mirror(ctrl, mirror)
+    result.recovered = audit["intact"]
+    result.reported_lost = audit["data_due"] + audit["unverifiable"]
+    result.quarantined = audit["quarantined"]
+    result.silent = [{"block": v["block"]}
+                     for v in violations[:_MAX_SILENT_RECORDS]]
+    if len(violations) > _MAX_SILENT_RECORDS:
+        result.silent[-1] = {"block": violations[-1]["block"],
+                             "truncated": True}
     return result
 
 

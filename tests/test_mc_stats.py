@@ -3,7 +3,7 @@
 Every assertion here is against *closed-form* ground truth, not against
 another simulator: Poisson arithmetic for no-ECC DUE probability, an
 exact binomial for Wilson-interval coverage, direct-vs-importance
-agreement on an overlapping regime, and numpy for Welford.
+agreement on an overlapping regime, and numpy for the mean and variance.
 """
 
 import math
@@ -14,7 +14,6 @@ import pytest
 from repro.faults import (
     FaultSimConfig,
     FaultSimulator,
-    WelfordState,
     importance_distribution,
     run_mc_campaign,
     wald_half_width,
@@ -156,37 +155,6 @@ class TestImportanceUnbiased:
 
 
 class TestWelford:
-    def test_matches_numpy_mean_and_variance(self):
-        rng = np.random.default_rng(3)
-        values = rng.normal(5.0, 2.0, size=2_000)
-        state = WelfordState()
-        state.update_batch(values)
-        assert state.mean == pytest.approx(float(values.mean()), rel=1e-12)
-        assert state.variance == pytest.approx(
-            float(values.var(ddof=1)), rel=1e-12
-        )
-
-    def test_merge_equals_single_stream(self):
-        rng = np.random.default_rng(5)
-        values = rng.exponential(1.0, size=1_000)
-        whole = WelfordState()
-        whole.update_batch(values)
-        left, right = WelfordState(), WelfordState()
-        left.update_batch(values[:373])
-        right.update_batch(values[373:])
-        merged = left.merge(right)
-        assert merged.count == whole.count
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-12)
-        assert merged.m2 == pytest.approx(whole.m2, rel=1e-12)
-
-    def test_merge_with_empty_is_identity(self):
-        state = WelfordState()
-        state.update_batch([1.0, 2.0, 3.0])
-        merged = state.merge(WelfordState())
-        assert (merged.count, merged.mean, merged.m2) == (
-            state.count, state.mean, state.m2
-        )
-
     def test_mean_and_variance_matches_numpy(self):
         rng = np.random.default_rng(7)
         values = rng.normal(0.0, 1.0, size=500)

@@ -326,12 +326,22 @@ class TestDeviceInterface:
         for block, data in written.items():
             assert ctrl.read(block).data == data
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "a gap move copies a never-written line with write_block, which "
-        "marks the destination written; a functional controller then "
-        "fails that line's MAC check"))
     def test_gap_move_keeps_unwritten_lines_unwritten(self):
         wl = self._leveled(psi=1)
         wl.write_block(0, b"\x01" * 64)  # moves the gap over a blank line
         assert wl.remap.gap_moves == 1
         assert wl.touched_addresses() == [0]
+
+    def test_gap_move_carries_poison_with_the_line(self):
+        wl = WearLevelingNvm(NvmDevice(capacity_bytes=8 * 64), psi=1)
+        assert wl.num_blocks == 7
+        wl.write_block(5 * 64, b"\x05" * 64)  # gap now sits after line 5
+        wl.poison_block(5 * 64)
+        before = (wl.read_count, wl.write_count)
+        wl.write_block(0, b"\x01" * 64)  # moves line 5 into the gap
+        # The move costs one read and one write besides the store.
+        assert (wl.read_count, wl.write_count) == (before[0] + 1,
+                                                   before[1] + 2)
+        assert wl.remap.physical_of(5) == 6
+        assert wl.poisoned_addresses == frozenset({5 * 64})
+        assert wl.read_block(5 * 64) == b"\x05" * 64
