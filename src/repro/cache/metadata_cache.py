@@ -16,7 +16,7 @@ from repro.cache.cache import CacheCounters
 from repro.constants import CACHELINE_BYTES
 
 
-@dataclass
+@dataclass(slots=True)
 class MetadataEviction:
     """A metadata block pushed out of the cache."""
 
@@ -177,11 +177,15 @@ class MetadataCache:
         index[address] = victim
         return eviction
 
-    def mark_dirty(self, address: int) -> None:
-        __, __, slot = self._find(address)
+    def mark_dirty(self, address: int) -> int:
+        """Set a resident block's dirty bit; returns its
+        :meth:`slot_id`, the shadow-table slot the caller updates next."""
+        set_idx = (address // self.line_size) % self.num_sets
+        slot = self._index[set_idx].get(address)
         if slot is None:
             raise KeyError(f"address {address:#x} not resident")
         slot.dirty = True
+        return set_idx * self.ways + slot.way
 
     def mark_clean(self, address: int) -> None:
         """Clear the dirty bit after an in-place persist (no eviction)."""

@@ -489,6 +489,11 @@ def _print_campaign_table(report: dict) -> None:
               f"{s['quarantined_bytes']:>10} B {s['violations']:>11}")
     for scheme, r in report["resilience"].items():
         ratio = r["baseline_over_scheme"]
+        if ratio is None and r["baseline_udr"] == 0:
+            # Neither scheme lost data: no ratio, and no >=10x verdict.
+            print(f"baseline vs {scheme}: undetermined "
+                  f"(no loss under either scheme)")
+            continue
         ratio_text = "inf" if ratio is None else f"{ratio:.1f}x"
         print(f"baseline vs {scheme}: {ratio_text} "
               f"({'>=10x: yes' if r['ge_10x'] else '>=10x: NO'})")

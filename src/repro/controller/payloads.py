@@ -7,13 +7,15 @@ bookkeeping the controller needs (leaf MACs, Osiris update counting).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.constants import MAC_BYTES
 from repro.counters import SplitCounterBlock, TocNode
 
+ZERO_MAC = b"\x00" * MAC_BYTES
 
-@dataclass
+
+@dataclass(slots=True, init=False)
 class CounterEntry:
     """A cached level-1 split-counter block.
 
@@ -26,8 +28,14 @@ class CounterEntry:
     """
 
     block: SplitCounterBlock
-    mac: bytes = b"\x00" * MAC_BYTES
-    slot_updates: list = field(default_factory=lambda: [0] * 64)
+    mac: bytes
+    slot_updates: list
+
+    def __init__(self, block: SplitCounterBlock, mac: bytes = ZERO_MAC,
+                 slot_updates: list = None):
+        self.block = block
+        self.mac = mac
+        self.slot_updates = [0] * 64 if slot_updates is None else slot_updates
 
     def bump_slot(self, slot: int) -> int:
         """Record an in-cache update of ``slot``; returns its tally."""
@@ -42,7 +50,7 @@ class CounterEntry:
         return "counter"
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeEntry:
     """A cached ToC intermediate node (level >= 2)."""
 
@@ -54,7 +62,7 @@ class NodeEntry:
         return "node"
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class MacBlockEntry:
     """A cached data-MAC block: eight 64-bit MACs of data blocks.
 
@@ -62,7 +70,10 @@ class MacBlockEntry:
     cached MAC block is never dirty; caching only saves read traffic.
     """
 
-    macs: list = field(default_factory=lambda: [b"\x00" * MAC_BYTES] * 8)
+    macs: list
+
+    def __init__(self, macs: list = None):
+        self.macs = [ZERO_MAC] * 8 if macs is None else macs
 
     @property
     def kind(self) -> str:
@@ -75,6 +86,5 @@ class MacBlockEntry:
     def from_bytes(cls, raw: bytes) -> "MacBlockEntry":
         if len(raw) != 8 * MAC_BYTES:
             raise ValueError("MAC block must be 64 bytes")
-        return cls(
-            macs=[raw[i * MAC_BYTES:(i + 1) * MAC_BYTES] for i in range(8)]
-        )
+        return cls([raw[0:8], raw[8:16], raw[16:24], raw[24:32],
+                    raw[32:40], raw[40:48], raw[48:56], raw[56:64]])

@@ -26,13 +26,19 @@ from repro.controller.errors import (
     QuarantinedError,
     SecureMemoryError,
 )
-from repro.controller.payloads import CounterEntry, MacBlockEntry, NodeEntry
+from repro.controller.payloads import (
+    ZERO_MAC,
+    CounterEntry,
+    MacBlockEntry,
+    NodeEntry,
+)
 from repro.controller.policy import CloningPolicy
 from repro.controller.quarantine import QuarantineRegistry
 from repro.controller.shadow import (
     KIND_COUNTER,
     KIND_NODE,
     TOMBSTONE,
+    ZERO_LSBS,
     AnubisShadowCodec,
     ShadowManager,
     ShadowRecord,
@@ -44,10 +50,8 @@ from repro.memory import AddressMap, NvmDevice, WritePendingQueue, tree_level_si
 from repro.telemetry import Tracer
 from repro.tree import ZERO_DIGEST, BmtAuthenticator, BmtNode, TocAuthenticator
 
-ZERO_MAC = b"\x00" * MAC_BYTES
 
-
-@dataclass
+@dataclass(slots=True)
 class ReadResult:
     """Outcome of a data-block read."""
 
@@ -344,15 +348,19 @@ class SecureMemoryController:
 
         entry = self._get_counter(counter_index, cost)
         overflow = entry.block.increment(slot)
-        self._mcache.mark_dirty(self._node_addr(1, counter_index))
+        counter_address = self._node_addr(1, counter_index)
+        slot_id = self._mcache.mark_dirty(counter_address)
         try:
             if overflow is not None:
                 self._reencrypt_page(counter_index, entry, overflow, cost)
+                if self._tracks_shadow:
+                    # The re-encryption's fills may have moved the block.
+                    slot_id = self._slot_of(counter_address)
             updates = entry.bump_slot(slot)
             if self.integrity_mode == "bmt":
                 self._propagate_bmt(counter_index, entry, cost)
             else:
-                self._shadow_note_counter(counter_index, entry, cost)
+                self._shadow_note_counter(slot_id, counter_address, entry, cost)
 
             counter = entry.block.effective_counter(slot)
             if self.functional_crypto:
@@ -894,8 +902,9 @@ class SecureMemoryController:
         plevel, pindex = level + 1, index // TOC_ARITY
         pnode = self._get_node(plevel, pindex, cost)
         counter = pnode.increment(slot)
-        self._mcache.mark_dirty(self._node_addr(plevel, pindex))
-        self._shadow_note_node(plevel, pindex, pnode, cost)
+        address = self._node_addr(plevel, pindex)
+        slot_id = self._mcache.mark_dirty(address)
+        self._shadow_note_node(slot_id, address, pnode, cost)
         return counter
 
     def _get_node(self, level: int, index: int, cost: OpCost):
@@ -1164,7 +1173,8 @@ class SecureMemoryController:
                 eviction.payload, MacBlockEntry
             ):
                 self._write_shadow(
-                    eviction.set_index, eviction.way, TOMBSTONE, cost
+                    eviction.set_index * self._mcache.ways + eviction.way,
+                    TOMBSTONE, cost,
                 )
             if eviction.dirty or self._victims or self._draining:
                 self._victims[eviction.address] = eviction
@@ -1204,13 +1214,17 @@ class SecureMemoryController:
         unpersisted updates stay recoverable.
         """
         self._fill_metadata(eviction.address, eviction.payload, eviction.dirty, cost)
-        if eviction.dirty:
-            level, index = self._node_of(eviction.address, eviction.payload)
-            if level == 1:
-                self._shadow_note_counter(index, eviction.payload, cost)
-            elif level > 1:
-                self._shadow_note_node(level, index, eviction.payload.node, cost)
-        return eviction.payload
+        address, payload = eviction.address, eviction.payload
+        if eviction.dirty and self._tracks_shadow:
+            if isinstance(payload, CounterEntry):
+                self._shadow_note_counter(
+                    self._slot_of(address), address, payload, cost
+                )
+            elif isinstance(payload, NodeEntry):
+                self._shadow_note_node(
+                    self._slot_of(address), address, payload.node, cost
+                )
+        return payload
 
     def _node_of(self, address: int, payload):
         """``(level, index)`` of a cached block, read off its payload
@@ -1338,41 +1352,41 @@ class SecureMemoryController:
     # shadow tracking
     # ------------------------------------------------------------------
 
-    def _shadow_note_counter(self, index: int, entry: CounterEntry, cost: OpCost) -> None:
+    def _slot_of(self, address: int) -> int:
+        """Metadata-cache slot id of a resident block."""
+        return self._mcache.slot_id(*self._mcache.location_of(address))
+
+    def _shadow_note_counter(self, slot_id: int, address: int,
+                             entry: CounterEntry, cost: OpCost) -> None:
+        """Shadow entry for the counter block at ``address``, resident
+        in metadata-cache slot ``slot_id``."""
         if not self._tracks_shadow:
             return  # NVM is never stale, or recovery regenerates
-        address = self._node_addr(1, index)
-        set_index, way = self._mcache.location_of(address)
         record = ShadowRecord(
-            address=address,
-            kind=KIND_COUNTER,
-            lsbs=(0,) * 8,
-            mac=(self._shadow.record_mac(address, entry.block.to_bytes())
-                 if self.functional_crypto else ZERO_MAC),
+            address, KIND_COUNTER, ZERO_LSBS,
+            (self._shadow.record_mac(address, entry.block.to_bytes())
+             if self.functional_crypto else ZERO_MAC),
         )
-        self._write_shadow(set_index, way, record, cost)
+        self._write_shadow(slot_id, record, cost)
 
-    def _shadow_note_node(self, level: int, index: int, node: TocNode, cost: OpCost) -> None:
+    def _shadow_note_node(self, slot_id: int, address: int, node: TocNode,
+                          cost: OpCost) -> None:
+        """Shadow entry for the tree node at ``address``, resident in
+        metadata-cache slot ``slot_id``."""
         if not self._tracks_shadow:
             return
-        address = self._node_addr(level, index)
-        set_index, way = self._mcache.location_of(address)
         mask = (1 << self.shadow_codec.lsb_bits) - 1
         record = ShadowRecord(
-            address=address,
-            kind=KIND_NODE,
-            lsbs=tuple(c & mask for c in node.counters),
-            mac=(self._shadow.record_mac(address, node.counters_bytes())
-                 if self.functional_crypto else ZERO_MAC),
+            address, KIND_NODE, tuple(c & mask for c in node.counters),
+            (self._shadow.record_mac(address, node.counters_bytes())
+             if self.functional_crypto else ZERO_MAC),
         )
-        self._write_shadow(set_index, way, record, cost)
+        self._write_shadow(slot_id, record, cost)
 
-    def _write_shadow(self, set_index: int, way: int, record: ShadowRecord,
+    def _write_shadow(self, slot_id: int, record: ShadowRecord,
                       cost: OpCost) -> None:
-        """Persist the shadow entry of metadata-cache slot (set, way)."""
-        self._shadow.write_entry(
-            set_index * self._mcache.ways + way, record, self._wpq
-        )
+        """Persist the shadow entry of metadata-cache slot ``slot_id``."""
+        self._shadow.write_entry(slot_id, record, self._wpq)
         cost.posted_writes += 1
         self._writes_by_kind["shadow"] += 1
 

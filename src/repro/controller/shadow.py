@@ -15,6 +15,11 @@ enough counter state to reconstruct the in-cache value after a crash:
 The entry MAC is computed over the address and the counter payload so
 recovery can prove the reconstruction is exact.
 
+A decoded entry is a :class:`ShadowRecord`, an immutable named tuple
+(building one is a single tuple allocation: the controller makes one
+per metadata write).  Every counter entry shares the one all-zero LSB
+tuple :data:`ZERO_LSBS`, and packing skips its LSB loop for it.
+
 Two codecs implement Figure 8:
 
 * :class:`AnubisShadowCodec` — one entry per 64-byte block: 8-byte
@@ -27,7 +32,7 @@ Two codecs implement Figure 8:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.constants import CACHELINE_BYTES, MAC_BYTES
 from repro.tree import BonsaiMerkleTree
@@ -36,10 +41,14 @@ from repro.tree import BonsaiMerkleTree
 KIND_EMPTY = 0
 KIND_COUNTER = 1
 KIND_NODE = 2
+_KINDS = frozenset((KIND_EMPTY, KIND_COUNTER, KIND_NODE))
 
 
-@dataclass(frozen=True)
-class ShadowRecord:
+#: The LSB field of every counter entry (and of the tombstone).
+ZERO_LSBS = (0,) * 8
+
+
+class ShadowRecord(NamedTuple):
     """Decoded shadow-entry contents."""
 
     address: int            # NVM address of the tracked metadata block
@@ -53,7 +62,7 @@ class ShadowRecord:
 
 
 #: The empty entry written over the slot of an evicted block.
-TOMBSTONE = ShadowRecord(address=0, kind=KIND_EMPTY, lsbs=(0,) * 8, mac=b"\x00" * MAC_BYTES)
+TOMBSTONE = ShadowRecord(address=0, kind=KIND_EMPTY, lsbs=ZERO_LSBS, mac=b"\x00" * MAC_BYTES)
 
 
 class AnubisShadowCodec:
@@ -64,7 +73,7 @@ class AnubisShadowCodec:
     copies = 1
 
     def encode(self, record: ShadowRecord) -> bytes:
-        return _pack_subentry(record, self.lsb_bits, lsb_bytes=6).ljust(
+        return _pack_subentry(record, self.lsb_bits, 6).ljust(
             CACHELINE_BYTES, b"\x00"
         )
 
@@ -76,25 +85,27 @@ class AnubisShadowCodec:
 
 
 def _pack_subentry(record: ShadowRecord, lsb_bits: int, lsb_bytes: int) -> bytes:
-    if record.address % CACHELINE_BYTES != 0:
+    address, kind, lsbs, mac = record
+    if address % CACHELINE_BYTES != 0:
         raise ValueError("tracked address must be block-aligned")
-    if record.kind not in (KIND_EMPTY, KIND_COUNTER, KIND_NODE):
-        raise ValueError(f"invalid record kind {record.kind}")
-    if len(record.lsbs) != 8:
+    if kind not in _KINDS:
+        raise ValueError(f"invalid record kind {kind}")
+    if len(lsbs) != 8:
         raise ValueError("exactly 8 LSB values required")
-    if len(record.mac) != MAC_BYTES:
+    if len(mac) != MAC_BYTES:
         raise ValueError("record MAC must be 8 bytes")
     # The eight masked LSBs, little-endian at a stride of lsb_bytes,
     # packed as one integer.
-    mask = (1 << lsb_bits) - 1
-    stride = 8 * lsb_bytes
     packed = 0
-    for i, value in enumerate(record.lsbs):
-        packed |= (value & mask) << (i * stride)
+    if lsbs != ZERO_LSBS:
+        mask = (1 << lsb_bits) - 1
+        stride = 8 * lsb_bytes
+        for i, value in enumerate(lsbs):
+            packed |= (value & mask) << (i * stride)
     return (
-        (record.address | record.kind).to_bytes(8, "little")
+        (address | kind).to_bytes(8, "little")
         + packed.to_bytes(8 * lsb_bytes, "little")
-        + record.mac
+        + mac
     )
 
 
@@ -143,6 +154,8 @@ class ShadowManager:
         self.functional = functional
         self.tree = BonsaiMerkleTree(amap.shadow_entries, mac_engine)
         self.writes = 0
+        self._entry_offset = amap.shadow_offset
+        self._entry_stride = amap.block_size
         # Every eviction writes the same tombstone: encode it once.
         self._tombstone_raw = codec.encode(TOMBSTONE)
 
@@ -167,8 +180,7 @@ class ShadowManager:
         """
         raw = (self._tombstone_raw if record is TOMBSTONE
                else self.codec.encode(record))
-        wpq.enqueue(self._amap.shadow_offset + slot_id * self._amap.block_size,
-                    raw)
+        wpq.enqueue(self._entry_offset + slot_id * self._entry_stride, raw)
         self.writes += 1
         if self.functional:
             self.tree.update_leaf(slot_id, raw)

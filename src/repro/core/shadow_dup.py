@@ -32,7 +32,7 @@ class SoteriaShadowCodec:
     copies = 2
 
     def encode(self, record: ShadowRecord) -> bytes:
-        sub = _pack_subentry(record, self.lsb_bits, lsb_bytes=2)
+        sub = _pack_subentry(record, self.lsb_bits, 2)
         if len(sub) != _SUBENTRY_BYTES:
             raise AssertionError(
                 f"sub-entry must be {_SUBENTRY_BYTES} bytes, got {len(sub)}"

@@ -7,6 +7,13 @@ pair ``(major, minor_i)``.  When a minor counter would overflow, the
 major counter is incremented, all minors reset to zero, and the memory
 controller must re-encrypt the whole page under the new major — the
 overflow event is surfaced to the caller so the controller can do so.
+
+A block keeps its minors the way the cache line stores them: one
+448-bit integer, minor ``i`` in bits ``7i .. 7i+6`` (the line's first
+56 bytes, little-endian).  Reading or bumping a minor is a shift and a
+mask, and serialising the block is one integer conversion.  ``minors``
+is a read-only tuple built on demand; recovery writes a minor through
+the checked :meth:`SplitCounterBlock.set_minor`.
 """
 
 from __future__ import annotations
@@ -22,10 +29,17 @@ from repro.constants import (
 
 _MINOR_MAX = (1 << MINOR_COUNTER_BITS) - 1
 _MAJOR_MAX = (1 << MAJOR_COUNTER_BITS) - 1
+#: Bits of the packed minors: the major starts right above them.
+_MINORS_BITS = SPLIT_COUNTER_ARITY * MINOR_COUNTER_BITS
+_MINORS_MASK = (1 << _MINORS_BITS) - 1
 
 
 def _slot_error(slot: int) -> IndexError:
     return IndexError(f"slot {slot} out of range [0, {SPLIT_COUNTER_ARITY})")
+
+
+def _minor_error() -> ValueError:
+    return ValueError("minor counter out of range")
 
 
 @dataclass(frozen=True)
@@ -45,22 +59,35 @@ class OverflowEvent:
 class SplitCounterBlock:
     """A 64-byte block of 64 split counters plus one major counter."""
 
+    __slots__ = ("major", "_packed")
+
     ARITY = SPLIT_COUNTER_ARITY
 
     def __init__(self, major: int = 0, minors=None):
-        fresh = minors is None
-        minors = [0] * self.ARITY if fresh else list(minors)
-        if len(minors) != self.ARITY:
-            raise ValueError(f"expected {self.ARITY} minor counters")
+        if minors is not None:
+            minors = list(minors)
+            if len(minors) != self.ARITY:
+                raise ValueError(f"expected {self.ARITY} minor counters")
         if not 0 <= major <= _MAJOR_MAX:
             raise ValueError("major counter out of range")
-        if not fresh:
+        packed = 0
+        if minors is not None:
             # A fresh block's zero minors need no range check.
-            for m in minors:
+            for i, m in enumerate(minors):
                 if not 0 <= m <= _MINOR_MAX:
-                    raise ValueError("minor counter out of range")
+                    raise _minor_error()
+                packed |= int(m) << (i * MINOR_COUNTER_BITS)
         self.major = major
-        self.minors = minors
+        self._packed = packed
+
+    @property
+    def minors(self) -> tuple:
+        """The 64 minor counters, slot order (a read-only snapshot)."""
+        packed = self._packed
+        return tuple(
+            (packed >> shift) & _MINOR_MAX
+            for shift in range(0, _MINORS_BITS, MINOR_COUNTER_BITS)
+        )
 
     def effective_counter(self, slot: int) -> int:
         """Counter value used for encryption of data block ``slot``.
@@ -70,7 +97,9 @@ class SplitCounterBlock:
         """
         if not 0 <= slot < SPLIT_COUNTER_ARITY:
             raise _slot_error(slot)
-        return (self.major << MINOR_COUNTER_BITS) | self.minors[slot]
+        return (self.major << MINOR_COUNTER_BITS) | (
+            (self._packed >> (slot * MINOR_COUNTER_BITS)) & _MINOR_MAX
+        )
 
     def increment(self, slot: int):
         """Bump the counter for ``slot`` ahead of a write.
@@ -80,50 +109,62 @@ class SplitCounterBlock:
         """
         if not 0 <= slot < SPLIT_COUNTER_ARITY:
             raise _slot_error(slot)
-        if self.minors[slot] < _MINOR_MAX:
-            self.minors[slot] += 1
+        shift = slot * MINOR_COUNTER_BITS
+        if (self._packed >> shift) & _MINOR_MAX != _MINOR_MAX:
+            # The minor is below its maximum: adding one cannot carry
+            # into the next slot's bits.
+            self._packed += 1 << shift
             return None
         if self.major == _MAJOR_MAX:
             raise OverflowError("major counter exhausted; key rotation required")
         event = OverflowEvent(
             old_major=self.major,
             new_major=self.major + 1,
-            old_minors=tuple(self.minors),
+            old_minors=self.minors,
         )
         self.major += 1
-        self.minors = [0] * self.ARITY
+        self._packed = 0
         return event
+
+    def set_minor(self, slot: int, value: int) -> None:
+        """Overwrite one minor counter (recovery's Osiris trials)."""
+        if not 0 <= slot < SPLIT_COUNTER_ARITY:
+            raise _slot_error(slot)
+        if not 0 <= value <= _MINOR_MAX:
+            raise _minor_error()
+        shift = slot * MINOR_COUNTER_BITS
+        self._packed = (
+            self._packed & ~(_MINOR_MAX << shift) | (int(value) << shift)
+        )
 
     def to_bytes(self) -> bytes:
         """Serialize to one 64-byte cache line (56B minors + 8B major)."""
-        packed = 0
-        for i, m in enumerate(self.minors):
-            packed |= m << (i * MINOR_COUNTER_BITS)
-        minors_bytes = packed.to_bytes(56, "little")
-        return minors_bytes + self.major.to_bytes(8, "little")
+        return ((self.major << _MINORS_BITS) | self._packed).to_bytes(
+            CACHELINE_BYTES, "little"
+        )
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SplitCounterBlock":
         if len(raw) != CACHELINE_BYTES:
             raise ValueError(f"expected {CACHELINE_BYTES} bytes, got {len(raw)}")
-        packed = int.from_bytes(raw[:56], "little")
-        # Every field is masked to its width, so nothing needs the
+        line = int.from_bytes(raw, "little")
+        # Both fields are cut to their widths, so nothing needs the
         # constructor's range checks.
         block = cls.__new__(cls)
-        block.minors = [
-            (packed >> (i * MINOR_COUNTER_BITS)) & _MINOR_MAX
-            for i in range(cls.ARITY)
-        ]
-        block.major = int.from_bytes(raw[56:], "little")
+        block.major = line >> _MINORS_BITS
+        block._packed = line & _MINORS_MASK
         return block
 
     def copy(self) -> "SplitCounterBlock":
-        return SplitCounterBlock(major=self.major, minors=list(self.minors))
+        block = SplitCounterBlock.__new__(SplitCounterBlock)
+        block.major = self.major
+        block._packed = self._packed
+        return block
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SplitCounterBlock):
             return NotImplemented
-        return self.major == other.major and self.minors == other.minors
+        return self.major == other.major and self._packed == other._packed
 
     def __repr__(self) -> str:
         hot = sum(1 for m in self.minors if m)

@@ -430,7 +430,9 @@ def run_campaign(config: CampaignConfig = None, jobs: int = 1,
             resilience[scheme] = {
                 "baseline_udr": base,
                 "scheme_udr": mine,
-                # None encodes "infinitely more resilient" JSON-safely.
+                # None when the scheme lost nothing (JSON has no inf):
+                # infinitely more resilient if the baseline lost data,
+                # undetermined if it lost nothing either.
                 "baseline_over_scheme": (base / mine) if mine > 0 else None,
                 "ge_10x": base >= 10 * mine and base > 0,
             }

@@ -119,7 +119,8 @@ class NvmDevice:
         self._writes.n += 1
         self._write_counts[address] = self._write_counts.get(address, 0) + 1
         self._blocks[address] = bytes(data)
-        self._poisoned.discard(address)
+        if self._poisoned:
+            self._poisoned.discard(address)
 
     # ---- fault-injection hooks (reliability experiments) ----
 

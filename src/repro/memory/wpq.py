@@ -55,11 +55,17 @@ class WritePendingQueue:
         NVM to make room — the caller never blocks, it just pays the
         drain in write traffic (already counted by the NVM device).
         """
-        while len(self._queue) >= self.capacity:
-            self.drain_one()
+        queue, latest = self._queue, self._latest
+        while len(queue) >= self.capacity:
+            # Full: the head entry drains to NVM, in place.
+            head = queue.popleft()
+            if latest[head[0]] is head:
+                del latest[head[0]]
+            self._nvm.write_block(head[0], head[1])
+            self.drained_count += 1
         entry = (address, bytes(data))
-        self._queue.append(entry)
-        self._latest[address] = entry
+        queue.append(entry)
+        latest[address] = entry
         self.enqueued_count += 1
 
     def enqueue_atomic(self, entries) -> None:
@@ -77,13 +83,15 @@ class WritePendingQueue:
                 f"atomic group of {len(entries)} exceeds WPQ capacity "
                 f"{self.capacity}"
             )
-        while self.free_entries < len(entries):
-            self.drain_one()
+        queue, latest = self._queue, self._latest
+        excess = len(queue) + len(entries) - self.capacity
+        if excess > 0:
+            self._commit(excess)
         for address, data in entries:
             entry = (address, bytes(data))
-            self._queue.append(entry)
-            self._latest[address] = entry
-            self.enqueued_count += 1
+            queue.append(entry)
+            latest[address] = entry
+        self.enqueued_count += len(entries)
 
     def lookup(self, address: int):
         """Latest pending data for ``address`` (write forwarding), or
@@ -96,23 +104,30 @@ class WritePendingQueue:
         """Distinct addresses with entries still queued (observer use)."""
         return set(self._latest)
 
+    def _commit(self, count: int) -> None:
+        """Pop the ``count`` oldest entries and write each to NVM, in
+        FIFO order (the caller knows that many are queued)."""
+        popleft, latest = self._queue.popleft, self._latest
+        write_block = self._nvm.write_block
+        for _ in range(count):
+            entry = popleft()
+            address = entry[0]
+            if latest[address] is entry:
+                del latest[address]
+            write_block(address, entry[1])
+            self.drained_count += 1
+
     def drain_one(self) -> bool:
         """Flush the oldest entry to NVM; returns False when empty."""
         if not self._queue:
             return False
-        entry = self._queue.popleft()
-        address = entry[0]
-        if self._latest[address] is entry:
-            del self._latest[address]
-        self._nvm.write_block(address, entry[1])
-        self.drained_count += 1
+        self._commit(1)
         return True
 
     def drain_all(self) -> int:
         """Flush everything; returns the number of entries drained."""
-        count = 0
-        while self.drain_one():
-            count += 1
+        count = len(self._queue)
+        self._commit(count)
         return count
 
     def power_loss_flush(self) -> int:

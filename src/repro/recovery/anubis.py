@@ -252,7 +252,7 @@ class RecoveryManager:
             report.osiris_trials += 1
             counter = (block.major << 7) | minor
             if ctrl.mac_engine.data_mac(ciphertext, address, counter) == stored_mac:
-                block.minors[slot] = minor
+                block.set_minor(slot, minor)
                 return True
         return False
 

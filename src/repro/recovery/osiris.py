@@ -124,6 +124,9 @@ class OsirisRecovery:
     def _recover_one(self, ctrl, index, report):
         amap = ctrl.amap
         for block in self._stale_candidates(ctrl, index):
+            # Each slot's minor moves only in its own iteration, so one
+            # snapshot serves the whole scan.
+            minors = block.minors
             advanced = 0
             success = True
             for slot in range(SPLIT_COUNTER_ARITY):
@@ -142,7 +145,7 @@ class OsirisRecovery:
                 ]
                 found = False
                 for trial in range(ctrl.osiris_limit + 1):
-                    minor = block.minors[slot] + trial
+                    minor = minors[slot] + trial
                     if minor > 127:
                         break
                     report.trials += 1
@@ -152,7 +155,7 @@ class OsirisRecovery:
                     ) == stored_mac:
                         if trial:
                             advanced += 1
-                        block.minors[slot] = minor
+                        block.set_minor(slot, minor)
                         found = True
                         break
                 if not found:

@@ -238,6 +238,9 @@ class PhoenixRecovery:
         """Advance stale minor counters against the write-through data
         MACs (the persisted block is at most ``osiris_limit`` behind)."""
         amap = ctrl.amap
+        # Each slot's minor moves only in its own iteration, so one
+        # snapshot serves the whole scan.
+        minors = block.minors
         for slot in range(SPLIT_COUNTER_ARITY):
             block_index = index * SPLIT_COUNTER_ARITY + slot
             if block_index >= amap.num_data_blocks:
@@ -260,7 +263,7 @@ class PhoenixRecovery:
             ]
             found = False
             for trial in range(ctrl.osiris_limit + 1):
-                minor = block.minors[slot] + trial
+                minor = minors[slot] + trial
                 if minor > 127:
                     break
                 report.osiris_trials += 1
@@ -269,7 +272,7 @@ class PhoenixRecovery:
                     ciphertext, data_address, counter
                 ) == stored_mac:
                     if trial:
-                        block.minors[slot] = minor
+                        block.set_minor(slot, minor)
                         report.counters_advanced += 1
                     found = True
                     break

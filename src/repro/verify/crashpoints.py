@@ -43,7 +43,8 @@ from repro.verify.oracle import Oracle
 
 KB = 1024
 
-#: Hard cap on per-point silent-corruption details kept in the report.
+#: Hard cap on per-point silent-corruption records kept in the report
+#: (``silent_corruption`` still counts every block).
 _MAX_SILENT_RECORDS = 20
 
 
@@ -93,7 +94,7 @@ class CrashPointResult:
     reported_lost: int = 0
     quarantined: int = 0
     oracle_divergences: int = 0
-    silent: list = field(default_factory=list)
+    silent: list = field(default_factory=list)   # one record per block
 
     @property
     def ok(self) -> bool:
@@ -115,9 +116,18 @@ class CrashPointResult:
             "reported_lost": self.reported_lost,
             "quarantined": self.quarantined,
             "oracle_divergences": self.oracle_divergences,
-            "silent": list(self.silent),
+            "silent": self.silent_records(),
             "ok": self.ok,
         }
+
+    def silent_records(self) -> list:
+        """At most :data:`_MAX_SILENT_RECORDS` of ``silent``; when some
+        are dropped, the last kept one is the final block, marked
+        ``truncated``."""
+        records = self.silent[:_MAX_SILENT_RECORDS]
+        if len(self.silent) > _MAX_SILENT_RECORDS:
+            records[-1] = {**self.silent[-1], "truncated": True}
+        return records
 
 
 def _run_point(config: CrashPointConfig, point: int, crash_op: int) -> CrashPointResult:
@@ -171,11 +181,7 @@ def _run_point(config: CrashPointConfig, point: int, crash_op: int) -> CrashPoin
     result.recovered = audit["intact"]
     result.reported_lost = audit["data_due"] + audit["unverifiable"]
     result.quarantined = audit["quarantined"]
-    result.silent = [{"block": v["block"]}
-                     for v in violations[:_MAX_SILENT_RECORDS]]
-    if len(violations) > _MAX_SILENT_RECORDS:
-        result.silent[-1] = {"block": violations[-1]["block"],
-                             "truncated": True}
+    result.silent = [{"block": v["block"]} for v in violations]
     return result
 
 

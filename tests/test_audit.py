@@ -21,6 +21,7 @@ from repro.faults import (
 from repro.schemes import resolve_scheme
 from repro.schemes.study import _run_recovery
 from repro.verify import CrashPointConfig, VerificationError, run_crash_points
+from repro.verify import crashpoints
 
 KB = 1024
 
@@ -90,3 +91,49 @@ def _study():
 def test_a_flipped_bit_fails_every_harness(bit_flipper, harness):
     harness()
     assert "block" in bit_flipper
+
+
+@pytest.fixture
+def odd_block_flipper(monkeypatch):
+    """Every read of an odd-numbered block comes back with one bit
+    flipped (the same XOR mask), and nothing raises."""
+    read = SecureMemoryController.read
+
+    def flipping_read(self, block_index):
+        result = read(self, block_index)
+        if block_index % 2:
+            result.data = bytes(
+                a ^ b for a, b in zip(result.data, BIT_FLIPPER)
+            )
+        return result
+
+    monkeypatch.setattr(SecureMemoryController, "read", flipping_read)
+
+
+def test_crash_points_count_every_silent_block(odd_block_flipper,
+                                               monkeypatch):
+    """``silent_corruption`` counts blocks, not the per-point records
+    the report keeps (at most 20), so the outcome buckets and the silent
+    count add up to the audited blocks."""
+    audited = []
+    audit = crashpoints.audit_mirror
+
+    def recording_audit(controller, mirror):
+        audited.append(sorted(mirror))
+        return audit(controller, mirror)
+
+    monkeypatch.setattr(crashpoints, "audit_mirror", recording_audit)
+    report = run_crash_points(CrashPointConfig(
+        scheme="src", data_bytes=16 * KB, ops=240, num_points=1,
+    ), raise_on_failure=False)
+    [blocks] = audited
+    flipped = sum(1 for block in blocks if block % 2)
+    assert flipped > crashpoints._MAX_SILENT_RECORDS
+    assert report["silent_corruption"] == flipped
+    [point] = report["failed_points"]
+    assert len(point["silent"]) == crashpoints._MAX_SILENT_RECORDS
+    outcomes = report["outcomes"]
+    assert outcomes["recovered"] == len(blocks) - flipped
+    assert (outcomes["recovered"] + outcomes["reported_lost"]
+            + outcomes["quarantined"] + report["silent_corruption"]
+            == len(blocks))

@@ -280,6 +280,20 @@ class TestMetadataCache:
         with pytest.raises(KeyError):
             mcache.mark_dirty(999 * 64)
 
+    def test_mark_dirty_returns_the_slot_id(self, mcache):
+        """The shadow table is addressed by the id ``mark_dirty``
+        returns: it is the slot ``location_of`` names."""
+        addresses = (0, 64, 128, 192)     # sets 0, 1, 0, 1: every slot
+        for address in addresses:
+            mcache.fill(address, "x")
+        ids = set()
+        for address in addresses:
+            slot_id = mcache.mark_dirty(address)
+            assert slot_id == mcache.slot_id(*mcache.location_of(address))
+            assert mcache.is_dirty(address)
+            ids.add(slot_id)
+        assert ids == set(range(mcache.num_slots))
+
     def test_slot_identity_stable(self, mcache):
         mcache.fill(0, "a")
         loc1 = mcache.location_of(0)
@@ -503,7 +517,8 @@ class TestMetadataCacheSlotStability:
                 assert reference.fill(target, step, dirty=dirty) is None
             elif op < 0.86 and resident:
                 target = min(resident)
-                fast.mark_dirty(target)
+                assert fast.mark_dirty(target) == fast.slot_id(
+                    *reference.location_of(target))
                 reference.mark_dirty(target)
             elif op < 0.93:
                 got = fast.invalidate(address)

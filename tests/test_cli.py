@@ -175,6 +175,45 @@ class TestCommands:
         assert report["invariant_ok"] is True
         assert report["resilience"]["src"]["ge_10x"]
 
+    def test_chaos_zero_vs_zero_is_undetermined(self, capsys, tmp_path):
+        """Neither scheme loses data: no ratio and no >=10x verdict is
+        printed, and the report's fields keep their meaning."""
+        import json
+
+        out_path = tmp_path / "report.json"
+        assert main(["chaos", "--size", "16kb", "--ops", "300",
+                     "--seed", "7", "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        report = json.loads(out_path.read_text())
+        for scheme in ("src", "sac"):
+            row = report["resilience"][scheme]
+            assert row["baseline_udr"] == row["scheme_udr"] == 0
+            assert row["baseline_over_scheme"] is None
+            assert row["ge_10x"] is False
+            assert (f"baseline vs {scheme}: undetermined "
+                    f"(no loss under either scheme)\n") in out
+        assert "inf" not in out
+
+    def test_campaign_table_ratio_lines(self, capsys):
+        from repro.cli import _print_campaign_table
+
+        rows = {
+            "src": dict(baseline_udr=0.5, scheme_udr=0.0,
+                        baseline_over_scheme=None, ge_10x=True),
+            "sac": dict(baseline_udr=0.5, scheme_udr=0.1,
+                        baseline_over_scheme=5.0, ge_10x=False),
+            "triad": dict(baseline_udr=0.0, scheme_udr=0.0,
+                          baseline_over_scheme=None, ge_10x=False),
+        }
+        _print_campaign_table({"schemes": {}, "resilience": rows})
+        assert capsys.readouterr().out.splitlines() == [
+            f"{'scheme':>9} {'runs':>5} {'mean UDR':>10} {'max UDR':>9} "
+            f"{'repairs':>8} {'quarantined':>12} {'violations':>11}",
+            "baseline vs src: inf (>=10x: yes)",
+            "baseline vs sac: 5.0x (>=10x: NO)",
+            "baseline vs triad: undetermined (no loss under either scheme)",
+        ]
+
     def test_chaos_checkpoint_resume(self, capsys, tmp_path):
         import json
 

@@ -4,10 +4,124 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.constants import CACHELINE_BYTES, MINOR_COUNTER_BITS
+from repro.constants import (
+    CACHELINE_BYTES,
+    MINOR_COUNTER_BITS,
+    SPLIT_COUNTER_ARITY,
+)
 from repro.counters import OverflowEvent, SplitCounterBlock, TocNode
+from repro.counters.split_counter import _slot_error
 
 MINOR_MAX = (1 << MINOR_COUNTER_BITS) - 1
+MAJOR_MAX = (1 << 64) - 1
+
+
+class ReferenceSplitCounterBlock:
+    """The list-of-minors split-counter block the packed one replaced.
+
+    Kept verbatim as the behavioural reference for the property tests
+    below; ``set_minor`` is the list write recovery used to make
+    (``block.minors[slot] = minor``) behind the packed block's checks.
+    """
+
+    ARITY = SPLIT_COUNTER_ARITY
+
+    def __init__(self, major: int = 0, minors=None):
+        fresh = minors is None
+        minors = [0] * self.ARITY if fresh else list(minors)
+        if len(minors) != self.ARITY:
+            raise ValueError(f"expected {self.ARITY} minor counters")
+        if not 0 <= major <= MAJOR_MAX:
+            raise ValueError("major counter out of range")
+        if not fresh:
+            for m in minors:
+                if not 0 <= m <= MINOR_MAX:
+                    raise ValueError("minor counter out of range")
+        self.major = major
+        self.minors = minors
+
+    def effective_counter(self, slot: int) -> int:
+        if not 0 <= slot < SPLIT_COUNTER_ARITY:
+            raise _slot_error(slot)
+        return (self.major << MINOR_COUNTER_BITS) | self.minors[slot]
+
+    def increment(self, slot: int):
+        if not 0 <= slot < SPLIT_COUNTER_ARITY:
+            raise _slot_error(slot)
+        if self.minors[slot] < MINOR_MAX:
+            self.minors[slot] += 1
+            return None
+        if self.major == MAJOR_MAX:
+            raise OverflowError("major counter exhausted; key rotation required")
+        event = OverflowEvent(
+            old_major=self.major,
+            new_major=self.major + 1,
+            old_minors=tuple(self.minors),
+        )
+        self.major += 1
+        self.minors = [0] * self.ARITY
+        return event
+
+    def set_minor(self, slot: int, value: int) -> None:
+        if not 0 <= slot < SPLIT_COUNTER_ARITY:
+            raise _slot_error(slot)
+        if not 0 <= value <= MINOR_MAX:
+            raise ValueError("minor counter out of range")
+        self.minors[slot] = value
+
+    def to_bytes(self) -> bytes:
+        packed = 0
+        for i, m in enumerate(self.minors):
+            packed |= m << (i * MINOR_COUNTER_BITS)
+        minors_bytes = packed.to_bytes(56, "little")
+        return minors_bytes + self.major.to_bytes(8, "little")
+
+    @classmethod
+    def from_bytes(cls, raw: bytes) -> "ReferenceSplitCounterBlock":
+        if len(raw) != CACHELINE_BYTES:
+            raise ValueError(f"expected {CACHELINE_BYTES} bytes, got {len(raw)}")
+        packed = int.from_bytes(raw[:56], "little")
+        block = cls.__new__(cls)
+        block.minors = [
+            (packed >> (i * MINOR_COUNTER_BITS)) & MINOR_MAX
+            for i in range(cls.ARITY)
+        ]
+        block.major = int.from_bytes(raw[56:], "little")
+        return block
+
+    def copy(self) -> "ReferenceSplitCounterBlock":
+        return ReferenceSplitCounterBlock(major=self.major,
+                                          minors=list(self.minors))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ReferenceSplitCounterBlock):
+            return NotImplemented
+        return self.major == other.major and self.minors == other.minors
+
+
+def _outcome(call, *args):
+    """``("ok", value)`` or ``("raised", type, message)``."""
+    try:
+        return ("ok", call(*args))
+    except (IndexError, ValueError, OverflowError) as exc:
+        return ("raised", type(exc), str(exc))
+
+
+#: One step on block 0 or 1 of a pair.  Slots and values reach past
+#: both ends of their ranges, so the error paths are drawn too.
+_SLOTS = st.integers(min_value=-2, max_value=SPLIT_COUNTER_ARITY + 1)
+_STEPS = st.one_of(
+    st.tuples(st.just("increment"), st.integers(0, 1), _SLOTS),
+    st.tuples(st.just("set_minor"), st.integers(0, 1), _SLOTS,
+              st.integers(min_value=-1, max_value=MINOR_MAX + 1)),
+    st.tuples(st.just("effective_counter"), st.integers(0, 1), _SLOTS),
+    st.tuples(st.just("roundtrip"), st.integers(0, 1)),
+    st.tuples(st.just("copy"), st.integers(0, 1), st.integers(0, 1)),
+)
+_MINORS = st.lists(st.integers(min_value=0, max_value=MINOR_MAX),
+                   min_size=SPLIT_COUNTER_ARITY, max_size=SPLIT_COUNTER_ARITY)
+_MAJORS = st.one_of(st.integers(min_value=0, max_value=MAJOR_MAX),
+                    st.integers(min_value=MAJOR_MAX - 2, max_value=MAJOR_MAX))
 
 
 class TestSplitCounterBlock:
@@ -121,6 +235,86 @@ class TestSplitCounterBlock:
             pair = (s, blk.effective_counter(s))
             assert pair not in used
             used.add(pair)
+
+
+class TestPackedMatchesReference:
+    """The packed block against :class:`ReferenceSplitCounterBlock`."""
+
+    @staticmethod
+    def _assert_same(block, ref):
+        assert block.major == ref.major
+        assert list(block.minors) == ref.minors
+        assert block.to_bytes() == ref.to_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(majors=st.tuples(_MAJORS, _MAJORS),
+           minors=st.tuples(_MINORS, _MINORS),
+           steps=st.lists(_STEPS, max_size=150))
+    def test_property_any_step_sequence_agrees(self, majors, minors, steps):
+        """Increments (overflow events and major exhaustion included),
+        minor writes, counter reads, byte round trips, copies and
+        equality give the reference's results, errors included."""
+        blocks = [SplitCounterBlock(m, n) for m, n in zip(majors, minors)]
+        refs = [ReferenceSplitCounterBlock(m, n)
+                for m, n in zip(majors, minors)]
+        for step in steps:
+            name, i, args = step[0], step[1], step[2:]
+            if name == "roundtrip":
+                blocks[i] = SplitCounterBlock.from_bytes(blocks[i].to_bytes())
+                refs[i] = ReferenceSplitCounterBlock.from_bytes(
+                    refs[i].to_bytes())
+            elif name == "copy":
+                blocks[args[0]] = blocks[i].copy()
+                refs[args[0]] = refs[i].copy()
+            else:
+                assert _outcome(getattr(blocks[i], name), *args) == \
+                    _outcome(getattr(refs[i], name), *args)
+            for block, ref in zip(blocks, refs):
+                self._assert_same(block, ref)
+            assert (blocks[0] == blocks[1]) == (refs[0] == refs[1])
+
+    @pytest.mark.parametrize("args", [
+        dict(major=-1),
+        dict(major=MAJOR_MAX + 1),
+        dict(minors=[0] * 63),
+        dict(minors=[0] * 65),
+        dict(minors=[0] * 63 + [-1]),
+        dict(minors=[MINOR_MAX + 1] + [0] * 63),
+        dict(major=-1, minors=[0] * 63),
+        dict(major=-1, minors=[-1] * 64),
+    ])
+    def test_constructor_errors_match_reference(self, args):
+        assert _outcome(lambda: SplitCounterBlock(**args)) == \
+            _outcome(lambda: ReferenceSplitCounterBlock(**args))
+
+    @pytest.mark.parametrize("slot", [-1, 64, 65, 1 << 70])
+    def test_slot_errors_match_reference(self, slot):
+        block, ref = SplitCounterBlock(), ReferenceSplitCounterBlock()
+        for name, args in (("increment", (slot,)),
+                           ("effective_counter", (slot,)),
+                           ("set_minor", (slot, 0))):
+            got = _outcome(getattr(block, name), *args)
+            assert got == _outcome(getattr(ref, name), *args)
+            assert got == ("raised", IndexError,
+                           f"slot {slot} out of range [0, 64)")
+
+    @pytest.mark.parametrize("value", [-1, MINOR_MAX + 1])
+    def test_set_minor_rejects_what_the_constructor_rejects(self, value):
+        expected = _outcome(
+            lambda: SplitCounterBlock(minors=[value] + [0] * 63))
+        assert _outcome(SplitCounterBlock().set_minor, 0, value) == expected
+
+    @pytest.mark.parametrize("size", [0, 63, 65])
+    def test_from_bytes_errors_match_reference(self, size):
+        raw = bytes(size)
+        assert _outcome(SplitCounterBlock.from_bytes, raw) == \
+            _outcome(ReferenceSplitCounterBlock.from_bytes, raw)
+
+    def test_minors_is_read_only(self):
+        block = SplitCounterBlock()
+        with pytest.raises(TypeError):
+            block.minors[0] = 1
+        assert block.effective_counter(0) == 0
 
 
 class TestTocNode:

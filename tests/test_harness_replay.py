@@ -17,18 +17,21 @@ host-local ``runtime`` block left out.  The cases cover:
   and off, every injection target (``shadow`` included), scrub
   intervals 0 and 50, and the three paper schemes;
 * every catalog scenario on two schemes, plus one scenario driven by
-  ``tests/fixtures/interleaved.trace``;
+  ``tests/fixtures/interleaved.trace`` (named relative to its folder,
+  since the report records the path as given);
 * crash points for all five schemes under ``toc`` and ``bmt``, with
   faulted points and ``recover_twice``;
 * the scheme study's recovery row for every registered scheme.
 
 The fixture (``tests/fixtures/harness_replay.json``) is recorded by
 running this module as a script (``python tests/test_harness_replay.py
---record``); re-record it only for a reviewed behaviour change.
+--record [CASE ...]``, every case when none is named); re-record it
+only for a reviewed behaviour change.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -48,8 +51,11 @@ from repro.schemes import PAPER_SCHEMES, resolve_scheme, scheme_names
 from repro.verify import CrashPointConfig, run_crash_points
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-FIXTURE = os.path.join(HERE, "fixtures", "harness_replay.json")
-TRACE = os.path.join(HERE, "fixtures", "interleaved.trace")
+FIXTURES = os.path.join(HERE, "fixtures")
+FIXTURE = os.path.join(FIXTURES, "harness_replay.json")
+#: Opened from inside FIXTURES: the report records the path as given,
+#: so a relative name keeps the digest the same in every checkout.
+TRACE = "interleaved.trace"
 SCHEMA = "harness_replay/v1"
 
 KB = 1024
@@ -73,11 +79,24 @@ def _campaign(mode: str, oracle: bool) -> dict:
     return run_campaign(config).to_dict()
 
 
+@contextlib.contextmanager
+def _working_directory(path: str):
+    previous = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def _scenarios(schemes: tuple, trace: str = None,
                scenarios: tuple = ()) -> dict:
     config = ScenarioConfig(schemes=schemes, trace=trace,
                             scenarios=scenarios, **SCENARIO)
-    return run_scenario_campaign(config)
+    if trace is None:
+        return run_scenario_campaign(config)
+    with _working_directory(FIXTURES):
+        return run_scenario_campaign(config)
 
 
 def _crash_points(scheme: str, mode: str, fault_every: int,
@@ -146,9 +165,16 @@ def test_harness_replay(name):
     assert canonical_sha256(cases()[name]()) == pinned()[name]
 
 
-def record() -> None:
-    digests = {name: canonical_sha256(run()) for name, run in
-               sorted(cases().items())}
+def record(names=()) -> None:
+    """Re-pin the named cases (every case when ``names`` is empty);
+    the other pinned digests are kept as they are."""
+    runs = cases()
+    unknown = sorted(set(names) - set(runs))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    digests = dict(pinned()) if names else {}
+    for name in names or sorted(runs):
+        digests[name] = canonical_sha256(runs[name]())
     with open(FIXTURE, "w") as fh:
         json.dump({"schema": SCHEMA, "cases": digests}, fh, indent=1,
                   sort_keys=True)
@@ -156,6 +182,6 @@ def record() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        raise SystemExit("usage: test_harness_replay.py --record")
-    record()
+    if sys.argv[1:2] != ["--record"]:
+        raise SystemExit("usage: test_harness_replay.py --record [CASE ...]")
+    record(sys.argv[2:])
