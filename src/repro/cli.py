@@ -31,6 +31,7 @@ processes on other hosts to drain cooperatively).
 from __future__ import annotations
 
 import argparse
+import math
 
 import numpy as np
 
@@ -148,6 +149,17 @@ def _finish_sweep(engine, outcomes, args, kind: str, code: int) -> int:
 def _parse_count(text: str) -> int:
     """'1e8' / '20000' -> int (scientific notation for big campaigns)."""
     return int(float(text))
+
+
+def _parse_half_width(text: str) -> float:
+    """A CI half-width: a finite number > 0 (a campaign can never reach
+    a zero, negative or NaN target)."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
+    return value
 
 
 def _parse_size(text: str) -> int:
@@ -1088,7 +1100,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="streaming MC campaign (udr_mc/v1): empirical "
                         "UDR with CI half-widths instead of the "
                         "analytic sweep")
-    p.add_argument("--target-ci", type=float, default=None, metavar="HW",
+    p.add_argument("--target-ci", type=_parse_half_width, default=None,
+                   metavar="HW",
                    help="stop each campaign once the p_block_due CI "
                         "half-width drops below HW (implies --empirical)")
     p.add_argument("--batch-trials", type=_parse_count, default=4096,

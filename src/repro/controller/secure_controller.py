@@ -353,9 +353,12 @@ class SecureMemoryController:
         try:
             if overflow is not None:
                 self._reencrypt_page(counter_index, entry, overflow, cost)
-                if self._tracks_shadow:
-                    # The re-encryption's fills may have moved the block.
-                    slot_id = self._slot_of(counter_address)
+                # The re-encryption's MAC-block fills may have moved or
+                # evicted the block: the increment's Osiris tally and
+                # shadow entry belong on the resident copy.
+                if not self._mcache.contains(counter_address):
+                    entry = self._get_counter(counter_index, cost)
+                slot_id = self._mcache.mark_dirty(counter_address)
             updates = entry.bump_slot(slot)
             if self.integrity_mode == "bmt":
                 self._propagate_bmt(counter_index, entry, cost)

@@ -44,6 +44,20 @@ class TestParser:
             args = parser.parse_args([cmd, "--resume", "ckpt"])
             assert args.resume == "ckpt"
 
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_unreachable_target_ci_is_a_usage_error(self, tmp_path, capsys,
+                                                   value):
+        """``--target-ci`` must be a finite half-width > 0: anything
+        else is refused before a campaign, checkpoint or report exists."""
+        with pytest.raises(SystemExit) as exc:
+            main(["reliability", "--empirical", f"--target-ci={value}",
+                  "--checkpoint", str(tmp_path / "checkpoint"),
+                  "--out", str(tmp_path / "report.json")])
+        assert exc.value.code == 2
+        assert "--target-ci: must be a finite number > 0" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     def test_conflicting_checkpoint_dirs_rejected(self):
         with pytest.raises(SystemExit):
             main(["perf", "--checkpoint", "a", "--resume", "b",

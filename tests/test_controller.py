@@ -121,6 +121,33 @@ class TestWriteTraffic:
         assert ctrl.stats.page_reencryptions == 1
         assert ctrl.read(1).data == b"\x11" * 64
 
+    @pytest.mark.parametrize("scheme", ["src", "sac", "baseline"])
+    @pytest.mark.parametrize("cache_bytes, ways", [(512, 2), (1 * KB, 1)])
+    def test_reencryption_evicting_its_counter_block(self, scheme,
+                                                     cache_bytes, ways):
+        """A minor overflow whose re-encryption MAC-block fills evict
+        the written counter block from a small metadata cache: the write
+        completes, the lockstep oracle sees no divergence, and the block
+        reads back the last value written."""
+        from repro import make_controller
+        from repro.verify import VerifySession
+
+        ctrl = make_controller(
+            scheme, 64 * KB, functional_crypto=True,
+            metadata_cache_bytes=cache_bytes, metadata_ways=ways,
+            rng=np.random.default_rng(1),
+        )
+        session = VerifySession(ctrl).attach()
+        for block in range(64):
+            ctrl.write(block, bytes([block]) * 64)
+        for i in range(130):
+            ctrl.write(5, bytes([i]) * 64)
+        assert ctrl.stats.page_reencryptions == 1
+        assert ctrl.read(5).data == bytes([129]) * 64
+        report = session.finish()
+        assert report["oracle"]["divergences"] == 0
+        assert report["invariants"]["violations"] == 0
+
     def test_osiris_persist_bounds_counter_staleness(self, ctrl):
         for _ in range(ctrl.osiris_limit):
             ctrl.write(0, bytes(64))

@@ -233,7 +233,7 @@ class TestUnionCount:
         seen = []
         with pytest.warns(RuntimeWarning, match="additive upper bound"):
             total, _ = mc.evaluate_batch(
-                mc._slot_batch(faults, [tuple(range(15))]), config,
+                mc._trial_batch(faults), config,
                 on_approximation=seen.append,
             )
         assert total[0] == 15 * GEO.blocks_per_row
@@ -243,7 +243,7 @@ class TestUnionCount:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             exact, _ = mc.evaluate_batch(
-                mc._slot_batch(faults, [tuple(range(14))]), config,
+                mc._trial_batch(faults[:14]), config,
                 on_approximation=seen.append,
             )
         assert exact[0] == 14 * GEO.blocks_per_row

@@ -8,6 +8,7 @@ subset that tests/test_mc_diff.py replays in full, so the two files
 check disjoint fixture entries.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -180,11 +181,11 @@ class TestUnionFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             total, _ = mc.evaluate_batch(
-                mc._slot_batch(faults, [tuple(range(len(faults)))]),
+                mc._trial_batch(faults),
                 FaultSimConfig(repair="none"),
                 on_approximation=events.append,
             )
-        mask, row, group, _ = pack_regions([encoded])
+        _, mask, row, group, _ = pack_regions([encoded])
         additive = int(mc._region_blocks(mask, row, group, geometry).sum())
         exact = union_block_count(
             [(0, *region) for region in encoded], geometry
@@ -290,3 +291,16 @@ class TestCampaignRuntime:
             result.by_fault_count
         )
         assert result.runtime == snapshot
+
+    @pytest.mark.parametrize("target_ci", [-1.0, 0.0, math.nan, math.inf])
+    def test_unreachable_target_ci_is_refused(self, tmp_path, target_ci):
+        """A half-width target a campaign can never reach is refused
+        before any wave runs or any checkpoint or store is made."""
+        with pytest.raises(ValueError, match="target_ci"):
+            run_mc_campaign(
+                FaultSimConfig(fit_per_device=80.0, seed=1),
+                batch_trials=16, target_ci=target_ci, max_waves=1,
+                checkpoint=str(tmp_path / "checkpoint"),
+                store=str(tmp_path / "store"),
+            )
+        assert list(tmp_path.iterdir()) == []
