@@ -14,9 +14,11 @@ no reader ever observes a torn record:
     :class:`QueueMismatchError` (two experiments must never merge).
 
 ``leases/<key>.json`` (``lease/v1``)
-    Mutual exclusion per cell.  A fresh claim uses
-    ``O_CREAT | O_EXCL`` — exactly one creator wins — and the lease
-    carries its owner id and an expiry (``ttl`` seconds out).  Owners
+    Mutual exclusion per cell.  A fresh claim writes its whole lease
+    to a temp file and hard-links it into place — ``link`` refuses an
+    existing name, so exactly one claimer wins and no peer sees a
+    half-written lease — and the lease carries its owner id and an
+    expiry (``ttl`` seconds out).  Owners
     renew on a heartbeat (every ``ttl/3``); a lease past its expiry
     means its owner is dead or wedged, and any worker may *reclaim* it
     by atomically replacing the file.  The race between two reclaimers
@@ -306,9 +308,11 @@ class WorkQueue:
         """Claim ``key``: a :class:`Lease` on success, ``None`` when it
         is validly held by a live owner.
 
-        Fresh cells are claimed with ``O_CREAT|O_EXCL`` (exactly one
-        winner); expired or torn leases are reclaimed by atomic
-        replacement.
+        A fresh cell's lease is published whole: the record is written
+        and fsync'd to a private temp file, then hard-linked into place
+        (``link`` fails if the lease exists, so exactly one claimer
+        wins, and no peer ever reads a half-written lease).  Expired or
+        torn leases are reclaimed by atomic replacement.
         """
         path = self.lease_path(key)
         now = self.now()
@@ -316,15 +320,19 @@ class WorkQueue:
                       acquired_unix=now, expires_unix=now + self.ttl)
         line = json.dumps(lease.record(now, self.ttl),
                           sort_keys=True) + "\n"
+        tmp = f"{path}.{os.getpid()}.{uuid.uuid4().hex}.tmp"
+        fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            try:
+                os.write(fd, line.encode())
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            os.link(tmp, path)
         except FileExistsError:
             return self._try_reclaim(key, path, lease)
-        try:
-            os.write(fd, line.encode())
-            os.fsync(fd)
         finally:
-            os.close(fd)
+            os.unlink(tmp)
         fsync_directory(os.path.dirname(path))
         self._m_claims.n += 1
         return lease

@@ -1,32 +1,43 @@
 """Vectorized batched simulation core: the timing simulator's one loop.
 
 :meth:`repro.sim.system.SecureSystem.run` drives every workload through
-:func:`run_batched`, which keeps the per-reference Python work on an L1
-hit down to one dict probe:
+:func:`run_batched`.  The per-reference Python loop keeps only the work
+that is sequential by nature — the caches' state and the controller —
+and numpy folds everything else once per batch:
 
 * **reference batches** — the workload's stream is three arrays
   (:meth:`~repro.workloads.Workload.reference_arrays`), drained as
   ``REFERENCE_BATCH``-long slices;
 * **array-stage address mapping** — the wrap into the data region and
-  the L1 (set index, tag) of every reference are computed for the
-  whole batch with numpy int64 vector ops, then handed to the dispatch
-  loop as plain lists (C-speed conversion, Python-int elements);
+  every level's (set index, tag) of every reference are computed for
+  the whole batch with numpy int64 vector ops, then handed to the
+  dispatch loop as plain lists (C-speed conversion, Python-int
+  elements);
 * **the caches' own state** — each level's residency is its
   :class:`~repro.cache.cache.SetAssociativeCache` ``sets``: one
   ``{tag: dirty}`` dict per set in LRU order, probed, filled and
   evicted in place, so a probe is a dict membership test and an LRU
-  update is ``d[t] = d.pop(t) | w`` — no per-access allocation;
-* **batched accounting** — cache hit/miss/eviction counters accumulate
-  in local integers and flush to the registry instruments per engine
-  pass; per-request latencies collect into per-kind lists and flush
-  through :meth:`~repro.telemetry.HistogramMetric.observe_batch`
-  (``numpy.searchsorted`` bucketing, sequential-order totals).  A
-  run that raises still folds the references it touched, so the
-  registry agrees with the caches' residency;
+  update is ``d[t] = d.pop(t) | w`` — no per-access allocation.  The
+  loop probes L1 and the first lower level with hoisted locals and
+  walks any deeper level generically;
+* **outcome codes** — an L1 hit records nothing; a reference that
+  misses L1 stores one code in the batch's ``bytearray``: the level
+  that hit, or ``num_levels`` for an LLC miss, whose blocking NVM
+  reads go to a list in reference order.  Evictions and dirty
+  evictions, which depend on the sets, are the only counts the loop
+  keeps;
+* **the batch fold** — after each batch (and in the ``finally`` of a
+  batch that raised) :meth:`BatchEngine._fold` derives the rest from
+  the codes and the batch's gap and write arrays: per-level hits and
+  misses (one ``bincount``), each reference's latency, the latency
+  histograms, ``cpu_cycles`` and ``instructions``.  A run that raises
+  folds exactly the references it touched, so the registry agrees
+  with the caches' residency;
 * **residual functional stream** — only LLC misses and dirty LLC
   writebacks reach the functional secure controller, which runs the
   counter chains, verification, lazy updates, cloning, the oracle and
-  the fault hooks on that traffic.
+  the fault hooks on that traffic; ``channel_ns`` is charged per
+  controller call.
 
 Equivalence contract: the engine's observable behavior — the
 ``SimResult`` (float fields included), registry snapshots, controller
@@ -34,9 +45,21 @@ traffic, the per-op event stream and the post-run cache residency — is
 pinned by the committed replay corpus that
 :mod:`repro.verify.engine_diff` (``repro engine-diff``) checks on every
 run.  That corpus was recorded from the scalar interpreter loop this
-engine replaced bit for bit, so the float accumulators (``cpu_cycles``,
-``channel_ns``, histogram totals) must keep their operations and their
-order: a reordered sum diverges from the fixture.
+engine replaced bit for bit, so every float accumulator must see the
+same operands in the same order.  The fold keeps that exactly:
+
+* a latency is ``(level cycles + blocking reads * read cycles) *
+  cycle ns``, the scalar loop's expression, one IEEE operation per
+  step in numpy as in Python (an L1 or lower-level hit adds ``0.0``);
+* ``cpu_cycles`` is one ``np.add.accumulate`` over the interleaved
+  (gap, level cycles, extra read cycles) addends in reference order,
+  seeded with the running total: ``accumulate`` adds strictly left to
+  right, the scalar loop's ``+=`` chain, where ``np.sum`` would
+  associate pairwise.  A hit's extra addend is ``0.0``, which leaves
+  any non-negative total unchanged;
+* histogram totals fold the same way in
+  :meth:`~repro.telemetry.HistogramMetric.observe_batch`;
+* ``instructions`` and every counter are integer sums.
 """
 
 from __future__ import annotations
@@ -67,26 +90,16 @@ class BatchEngine:
         self.level_sets = [cache.sets for cache in self.caches]
         self.level_ways = [cache.ways for cache in self.caches]
         self.level_num_sets = [cache.num_sets for cache in self.caches]
-        self.lat_steps = [c.latency_cycles for c in hierarchy.configs]
-        cumulative = []
-        total = 0
-        for step in self.lat_steps:
-            total += step
-            cumulative.append(total)
-        self.cum_lat = cumulative
+        # Cycles to the level that served a reference, indexed by its
+        # outcome code: level l's cumulative hit latency, and for an
+        # LLC miss (code num_levels) the whole hierarchy's.
+        cumulative = np.cumsum([c.latency_cycles for c in hierarchy.configs])
+        self.code_cycles = np.append(cumulative, cumulative[-1])
 
         self.read_latency_cycles = config.ns_to_cycles(config.pcm_read_ns)
         self.pcm_read_ns = config.pcm_read_ns
         self.pcm_write_ns = config.pcm_write_ns
         self.cycle_ns = config.cycle_ns
-        # Request latency of a hit at level l — spelled like the miss
-        # path's ``(latency + blocking_reads * read_latency_cycles) *
-        # cycle_ns`` with no blocking reads, so the float value is
-        # bit-equal to the pinned one.
-        self.hit_ns = [
-            (lat + 0 * self.read_latency_cycles) * self.cycle_ns
-            for lat in cumulative
-        ]
 
         controller = system.controller
         self.controller_read = controller.read
@@ -130,19 +143,17 @@ class BatchEngine:
     # -- the hot loop --------------------------------------------------
 
     def _batches(self, arrays):
-        """Yield ``(address_vec, writes, gaps, n)`` per reference batch
-        of an ``(addresses, writes, gaps)`` array triple: a fresh int64
-        address vector (the dispatch loop wraps it in place) plus
-        plain-Python ``writes``/``gaps`` lists."""
+        """Yield ``(addresses, writes, gaps)`` array slices per
+        reference batch of an ``(addresses, writes, gaps)`` triple; the
+        addresses are a fresh int64 vector, wrapped in place."""
         addresses, is_writes, gap_array = arrays
         total = len(addresses)
         for start in range(0, total, self.batch_size):
             stop = min(start + self.batch_size, total)
             yield (
                 addresses[start:stop].astype(np.int64, copy=True),
-                is_writes[start:stop].astype(np.intp).tolist(),
-                gap_array[start:stop].tolist(),
-                stop - start,
+                is_writes[start:stop],
+                gap_array[start:stop],
             )
 
     def process(self, arrays, emit_op: bool = False) -> None:
@@ -151,147 +162,141 @@ class BatchEngine:
         ``emit_op`` emits the per-op trace event before each reference
         (fault injectors and scrubbers subscribe to it); warmup passes
         run with it off.
+
+        The loop does the sequential work only: probe, fill and evict
+        the sets, count evictions, call the controller on an LLC miss
+        (charging ``channel_ns`` per call) and emit op events.  Each
+        L1 miss leaves its outcome code in ``codes``; :meth:`_fold`
+        turns the codes into counts, latencies and cycles per batch.
         """
-        # Hoist everything the per-reference code touches into locals.
+        memory = self.num_levels  # outcome code of an LLC miss
         line_size = self.line_size
         data_bytes = self.data_bytes
         level_num_sets = self.level_num_sets
-        hit_ns = self.hit_ns
-        sets0 = self.level_sets[0]
-        ways0 = self.level_ways[0]
-        num_sets0 = level_num_sets[0]
-        lat0 = self.cum_lat[0]
-        hit_ns0 = hit_ns[0]
+        level_sets = self.level_sets
+        level_ways = self.level_ways
+        sets0 = level_sets[0]
+        ways0 = level_ways[0]
         deltas0 = self.counter_deltas[0]
-        last_level = self.num_levels - 1
-        l0_is_last = last_level == 0
-        num_sets_last = level_num_sets[last_level]
-        # Lower-level walk rows, unpacked per L1 miss: (sets, num_sets,
-        # ways, latency step, hit ns, deltas, is-last).  Set index and
-        # tag at level l derive from the line number with Python-int
-        # divmod on the miss path only — no per-batch tables.
-        walk = [
-            (
-                self.level_sets[level],
-                level_num_sets[level],
-                self.level_ways[level],
-                self.lat_steps[level],
-                hit_ns[level],
-                self.counter_deltas[level],
-                level == last_level,
-            )
-            for level in range(1, last_level + 1)
+        last = memory - 1
+        num_sets_last = level_num_sets[last]
+        has_lower = memory > 1
+        if has_lower:
+            sets1 = level_sets[1]
+            ways1 = level_ways[1]
+            deltas1 = self.counter_deltas[1]
+        # Levels below the first lower one, walked generically per L2
+        # miss: (code, sets, ways, deltas).
+        deeper = [
+            (level, level_sets[level], level_ways[level],
+             self.counter_deltas[level])
+            for level in range(2, memory)
         ]
 
-        read_latency_cycles = self.read_latency_cycles
         pcm_read_ns = self.pcm_read_ns
         pcm_write_ns = self.pcm_write_ns
-        cycle_ns = self.cycle_ns
         controller_read = self.controller_read
         controller_write = self.controller_write
         zero = self.zero
-
         tracer_emit = self.system.tracer.emit
-        read_latency = self.system._read_latency
-        write_latency = self.system._write_latency
-
-        instructions = self.instructions
-        op_index = self.memory_requests
-        cpu_cycles = self.cpu_cycles
         channel_ns = self.channel_ns
 
-        for address_vec, writes, gaps, n in self._batches(arrays):
-            # Array stage: byte address → L1 (set index, tag) for the
-            # whole batch; everything below L1 (lower-level set/tag,
-            # controller block) derives on the miss path only.
+        for address_vec, write_vec, gap_vec in self._batches(arrays):
+            n = len(address_vec)
+            # Array stage: byte address → (set index, tag) at every
+            # level for the whole batch.
             address_vec %= data_bytes
             line_vec = address_vec // line_size
-            set0_idx = (line_vec % num_sets0).tolist()
-            tags0 = (line_vec // num_sets0).tolist()
+            level_set_tag = [
+                (
+                    (line_vec % num_sets).tolist(),
+                    (line_vec // num_sets).tolist(),
+                )
+                for num_sets in level_num_sets
+            ]
+            set0, tag0 = level_set_tag[0]
+            if has_lower:
+                set1, tag1 = level_set_tag[1]
+            writes = write_vec.astype(np.intp).tolist()
+            op_index = self.memory_requests
 
-            read_ns = []
-            write_ns = []
-            read_append = read_ns.append
-            write_append = write_ns.append
-
-            instructions += sum(gaps) + n
-            misses0 = evictions0 = dirty0 = 0
-            miss_at = -1  # index of the batch's latest L1 miss
+            codes = bytearray(n)  # 0: L1 hit; l: level l hit; memory
+            blocking = []         # blocking NVM reads per LLC miss
+            evictions0 = dirty0 = evictions1 = dirty1 = 0
+            completed = n
 
             try:
-                for i, wi, gap, set_index, tag in zip(
-                    range(n), writes, gaps, set0_idx, tags0
-                ):
+                for i, wi, s, t in zip(range(n), writes, set0, tag0):
                     if emit_op:
                         tracer_emit("op", index=op_index + i)
-                    lines = sets0[set_index]
-                    prev = lines.pop(tag, None)
+                    lines = sets0[s]
+                    prev = lines.pop(t, None)
                     if prev is not None:
                         # L1 hit — the fast path (single dict probe).
-                        lines[tag] = prev | wi
-                        cpu_cycles += gap
-                        cpu_cycles += lat0
-                        if wi:
-                            write_append(hit_ns0)
-                        else:
-                            read_append(hit_ns0)
+                        lines[t] = prev | wi
                         continue
 
-                    # L1 miss: evict + fill, then walk the lower levels.
-                    misses0 += 1
-                    miss_at = i
+                    # L1 miss: evict + fill, then the lower levels.
                     writeback_block = -1
                     if len(lines) >= ways0:
                         victim_tag = next(iter(lines))
-                        victim_dirty = lines.pop(victim_tag)
                         evictions0 += 1
-                        if victim_dirty:
+                        if lines.pop(victim_tag):
                             dirty0 += 1
-                            if l0_is_last:
+                            if not has_lower:
                                 writeback_block = (
-                                    (victim_tag * num_sets_last + set_index)
+                                    (victim_tag * num_sets_last + s)
                                     * line_size
                                 ) // 64
-                    lines[tag] = wi
+                    lines[t] = wi
 
-                    line = tag * num_sets0 + set_index
-                    latency = lat0
-                    request_hit_ns = -1.0
-                    for (level_sets, level_num, level_ways, lat_step,
-                         level_hit_ns, level_deltas, is_last) in walk:
-                        latency += lat_step
-                        level_set_index = line % level_num
-                        level_tag = line // level_num
-                        level_lines = level_sets[level_set_index]
-                        prev = level_lines.pop(level_tag, None)
+                    level = memory
+                    if has_lower:
+                        s = set1[i]
+                        t = tag1[i]
+                        lines = sets1[s]
+                        prev = lines.pop(t, None)
                         if prev is not None:
-                            level_lines[level_tag] = prev | wi
-                            level_deltas[0] += 1
-                            request_hit_ns = level_hit_ns
-                            break
-                        level_deltas[1] += 1
-                        if len(level_lines) >= level_ways:
-                            victim_tag = next(iter(level_lines))
-                            victim_dirty = level_lines.pop(victim_tag)
-                            level_deltas[2] += 1
-                            if victim_dirty:
-                                level_deltas[3] += 1
-                                level_deltas[4] += 1
-                                if is_last:
+                            lines[t] = prev | wi
+                            codes[i] = 1
+                            continue
+                        if len(lines) >= ways1:
+                            victim_tag = next(iter(lines))
+                            evictions1 += 1
+                            if lines.pop(victim_tag):
+                                dirty1 += 1
+                                if last == 1:
                                     writeback_block = (
-                                        (victim_tag * num_sets_last
-                                         + level_set_index) * line_size
+                                        (victim_tag * num_sets_last + s)
+                                        * line_size
                                     ) // 64
-                        level_lines[level_tag] = wi
+                        lines[t] = wi
 
-                    cpu_cycles += gap
-                    cpu_cycles += latency
-
-                    if request_hit_ns >= 0.0:
-                        if wi:
-                            write_append(request_hit_ns)
+                        for level, sets, ways, deltas in deeper:
+                            level_set, level_tag = level_set_tag[level]
+                            s = level_set[i]
+                            t = level_tag[i]
+                            lines = sets[s]
+                            prev = lines.pop(t, None)
+                            if prev is not None:
+                                lines[t] = prev | wi
+                                break
+                            if len(lines) >= ways:
+                                victim_tag = next(iter(lines))
+                                deltas[2] += 1
+                                if lines.pop(victim_tag):
+                                    deltas[3] += 1
+                                    deltas[4] += 1
+                                    if level == last:
+                                        writeback_block = (
+                                            (victim_tag * num_sets_last + s)
+                                            * line_size
+                                        ) // 64
+                            lines[t] = wi
                         else:
-                            read_append(request_hit_ns)
+                            level = memory
+                    codes[i] = level
+                    if level < memory:
                         continue
 
                     # Residual functional stream: LLC miss (demand read),
@@ -303,40 +308,71 @@ class BatchEngine:
                         cost = controller_write(writeback_block, zero)
                         blocking_reads += cost.blocking_reads
                         posted_writes += cost.posted_writes
-
-                    cpu_cycles += blocking_reads * read_latency_cycles
+                    blocking.append(blocking_reads)
                     channel_ns += (
                         blocking_reads * pcm_read_ns
                         + posted_writes * pcm_write_ns
                     )
-                    request_ns = (
-                        latency + blocking_reads * read_latency_cycles
-                    ) * cycle_ns
-                    if wi:
-                        write_append(request_ns)
-                    else:
-                        read_append(request_ns)
             except BaseException:
-                # Reference i raised: fold the partial batch and
-                # re-raise.  It was probed only if it raised on its way
-                # to the controller (its latest miss), not in its op
-                # event.
-                n = i + 1 if miss_at == i else i
+                # Reference i raised, in its op event (never probed) or
+                # on its way to the controller (probed at every level,
+                # code ``memory``, no latency).
+                completed = i
                 raise
             finally:
-                deltas0[0] += n - misses0
-                deltas0[1] += misses0
+                touched = completed
+                if completed < n and codes[completed] == memory:
+                    touched += 1
                 deltas0[2] += evictions0
                 deltas0[3] += dirty0
                 deltas0[4] += dirty0
-                read_latency.observe_batch(read_ns)
-                write_latency.observe_batch(write_ns)
-            op_index += n
+                if has_lower:
+                    deltas1[2] += evictions1
+                    deltas1[3] += dirty1
+                    deltas1[4] += dirty1
+                self.channel_ns = channel_ns
+                self._fold(codes, touched, completed, blocking,
+                           write_vec, gap_vec)
 
-        self.instructions = instructions
-        self.memory_requests = op_index
-        self.cpu_cycles = cpu_cycles
-        self.channel_ns = channel_ns
+    def _fold(self, codes, touched, completed, blocking, write_vec,
+              gap_vec) -> None:
+        """Fold one batch's outcome codes into the counters, the latency
+        histograms and the accounting totals.
+
+        ``touched`` references were probed (cache counters);
+        ``completed`` ran to the end (latencies, cycles, instructions),
+        one fewer when a reference raised on its way to the controller.
+        """
+        memory = self.num_levels
+        outcome = np.frombuffer(codes, dtype=np.uint8)
+        served = np.bincount(outcome[:touched], minlength=memory + 1)
+        missed = touched
+        for deltas, hits in zip(self.counter_deltas, served.tolist()):
+            missed -= hits
+            deltas[0] += hits
+            deltas[1] += missed
+
+        outcome = outcome[:completed]
+        # Per reference: (gap, level cycles, extra read cycles), the
+        # scalar loop's three ``cpu_cycles +=`` operands, in its order.
+        addends = np.zeros(3 * completed + 1)
+        addends[0] = self.cpu_cycles
+        operands = addends[1:].reshape(completed, 3)
+        operands[:, 0] = gap_vec[:completed]
+        operands[:, 1] = self.code_cycles[outcome]
+        if blocking:
+            operands[outcome == memory, 2] = (
+                np.array(blocking, dtype=np.float64)
+                * self.read_latency_cycles
+            )
+        latency_ns = (operands[:, 1] + operands[:, 2]) * self.cycle_ns
+        self.cpu_cycles = float(np.add.accumulate(addends, out=addends)[-1])
+
+        is_write = write_vec[:completed].astype(bool)
+        self.system._read_latency.observe_batch(latency_ns[~is_write])
+        self.system._write_latency.observe_batch(latency_ns[is_write])
+        self.instructions += int(gap_vec[:completed].sum()) + completed
+        self.memory_requests += completed
 
 
 def run_batched(system, workload, warmup_refs: int = 0, batch_size=None):

@@ -116,6 +116,8 @@ class SecureSystem:
         initialization phase and simulate 500M instructions
         afterwards"): the first N references warm the caches and
         metadata state, then every statistic resets before measurement.
+        A negative ``warmup_refs`` raises ``ValueError`` before any
+        reference runs.
 
         The run emits the tracer's ``"op"`` event (field ``index``,
         counted from 0 after warmup) before each post-warmup reference:
@@ -138,6 +140,8 @@ class SecureSystem:
         pinned by the committed replay corpus that ``repro engine-diff``
         checks (engine-replay CI job).
         """
+        if warmup_refs < 0:
+            raise ValueError(f"warmup_refs must be >= 0, got {warmup_refs}")
         controller = self.controller
 
         session = None

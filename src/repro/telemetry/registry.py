@@ -242,29 +242,33 @@ class HistogramMetric:
         """Observe a whole batch at once, bit-identical to calling
         :meth:`observe` on each value in order.
 
+        ``values`` is a float64 array (the batch engine's latencies,
+        in reference order) or any sequence numpy converts to one.
         Bucketing uses ``numpy.searchsorted(side="left")`` (the exact
-        vector analogue of ``bisect_left``); ``total`` accumulates with
-        a sequential left-to-right loop so float rounding matches the
-        per-value path exactly (``sum()`` or ``numpy.sum`` would
-        associate differently).
+        vector analogue of ``bisect_left``).  ``total`` folds with one
+        ``numpy.add.accumulate`` over ``[total, *values]``, which adds
+        strictly left to right like the per-value ``+=`` chain, so the
+        float rounding matches exactly (``numpy.sum``, pairwise, or
+        ``math.fsum``, exact, would round differently).
         """
-        if not values:
-            return
         import numpy as np
 
+        values = np.asarray(values, dtype=np.float64)
+        if not len(values):
+            return
         if self._edges_array is None:
             self._edges_array = np.asarray(self.edges, dtype=np.float64)
         indices = np.searchsorted(self._edges_array, values, side="left")
         bincount = np.bincount(indices, minlength=len(self.counts))
         counts = self.counts
-        for index, n in enumerate(bincount):
+        for index, n in enumerate(bincount.tolist()):
             if n:
-                counts[index] += int(n)
+                counts[index] += n
         self.count += len(values)
-        total = self.total
-        for value in values:
-            total += value
-        self.total = total
+        running = np.empty(len(values) + 1)
+        running[0] = self.total
+        running[1:] = values
+        self.total = float(np.add.accumulate(running, out=running)[-1])
 
     @property
     def mean(self) -> float:

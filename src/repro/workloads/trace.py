@@ -310,7 +310,8 @@ def load_external(path, fmt: str = "auto", name: str = None,
     per-core streams and round-robin :func:`interleave`-d (``chunk``
     references per core per turn), exactly like the synthetic
     multi-programmed mixes, so scheme comparisons see one merged
-    reference stream.
+    reference stream.  A negative address or gap is a parse error that
+    names its line, like a malformed one.
     """
     if fmt not in TRACE_FORMATS:
         raise ValueError(
@@ -328,7 +329,14 @@ def load_external(path, fmt: str = "auto", name: str = None,
                     trace_name = raw.strip().split(":", 1)[1].strip()
                 continue
             tokens = line.replace(",", " ").split()
-            rows.append(_parse_external_line(tokens, fmt, line_no, line))
+            row = _parse_external_line(tokens, fmt, line_no, line)
+            for field, value in (("address", row[1]), ("gap", row[3])):
+                if value < 0:
+                    raise ValueError(
+                        f"line {line_no}: negative {field} {value}: "
+                        f"{line!r}"
+                    )
+            rows.append(row)
     if not rows:
         raise ValueError(f"trace {path!r} contains no references")
     if trace_name is None:

@@ -9,11 +9,15 @@ originally proven against is retired; the committed replay fixture
 ``repro engine-diff`` (tests below run its suite) enforces it over the
 fuzz corpus, pinned sweeps, and chaos runs.  These tests also pin that
 no engine selector remains: an ``engine=`` argument fails loudly.
+Where the fixture's configurations cannot see a float fold's order,
+the per-reference loop the batch fold replaced
+(``tests/reference_engine.py``) is the reference instead.
 """
 
 import inspect
 import json
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +25,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.cache
+import repro.sim.system
 from repro.cache import CacheHierarchy, SetAssociativeCache
+from repro.cache.hierarchy import LevelConfig
 from repro.sim import SecureSystem, SystemConfig
 from repro.sim import engine as sim_engine
 from repro.sim.engine import run_batched
@@ -34,6 +40,8 @@ from repro.verify.engine_diff import (
 )
 from repro.workloads import make_workload
 from repro.workloads.base import Workload
+
+from tests.reference_engine import ReferenceEngine
 
 GCC = ("gcc", (), {"footprint_bytes": 1 << 20, "num_refs": 1500})
 UBENCH = ("ubench", (128,), {"footprint_bytes": 1 << 20, "num_refs": 1500})
@@ -305,3 +313,124 @@ class TestPropertyDeterminism:
                           system_kwargs={"memory_mb": 4},
                           warmup_refs=warmup)
         assert second == first
+
+
+# -- the batch fold against the per-reference loop it replaced ----------
+
+#: 1-, 2- and 3-level hierarchies small enough that a few hundred
+#: references hit, miss and evict at every level.
+HIERARCHIES = (
+    (LevelConfig("L1", 256, 2, 2),),
+    (LevelConfig("L1", 128, 1, 2), LevelConfig("L2", 512, 2, 20)),
+    (LevelConfig("L1", 128, 2, 2), LevelConfig("L2", 512, 2, 20),
+     LevelConfig("LLC", 2048, 4, 32)),
+)
+
+
+def _fold_config(levels) -> SystemConfig:
+    """A read latency of 151 ns at 3.1 GHz is 468.1 cycles, a float with
+    a full mantissa: partial sums of ``cpu_cycles`` and the latency
+    totals round at every step, so a reordered fold changes them.  (The
+    pinned configurations' 400.5 cycles keep every partial sum a
+    multiple of 0.5, exact in any order.)"""
+    return SystemConfig(name="fold", cpu_ghz=3.1, pcm_read_ns=151,
+                        cache_levels=levels, memory_bytes=1 << 20,
+                        metadata_cache_bytes=2048, metadata_ways=2)
+
+
+class _Arrays:
+    def __init__(self, arrays):
+        self.name = "fold"
+        self.arrays = arrays
+
+    def reference_arrays(self):
+        return self.arrays
+
+
+def _fold_observation(engine_class, case) -> dict:
+    """Run one case on a fresh system whose engine is ``engine_class``;
+    return every observable, floats by repr."""
+    system = SecureSystem(scheme=case["scheme"],
+                          config=_fold_config(case["levels"]),
+                          rng=np.random.default_rng(5))
+    ops = []
+    if case["subscribe"]:
+        system.tracer.subscribe("op", lambda event: ops.append(event.index))
+    if case["fail_at"]:
+        read = system.controller.read
+        calls = []
+
+        def failing_read(block):
+            calls.append(block)
+            if len(calls) == case["fail_at"]:
+                raise RuntimeError("injected")
+            return read(block)
+
+        system.controller.read = failing_read
+    result = error = None
+    with mock.patch.object(sim_engine, "BatchEngine", engine_class), \
+            mock.patch.object(repro.sim.system, "REFERENCE_BATCH",
+                              case["batch"]):
+        try:
+            result = {key: repr(value) for key, value in
+                      asdict(system.run(_Arrays(case["arrays"]),
+                                        warmup_refs=case["warmup"])).items()}
+        except RuntimeError as exc:
+            error = str(exc)
+    return {
+        "result": result,
+        "error": error,
+        "registry": json.dumps(system.registry.snapshot(), sort_keys=True),
+        "totals": [repr(system.registry.get(name).total)
+                   for name in ("latency.read", "latency.write")],
+        # Every set's {tag: dirty} items in LRU order.
+        "sets": [[list(lines.items()) for lines in cache.sets]
+                 for cache in system.hierarchy.caches],
+        "ops": ops,
+    }
+
+
+@st.composite
+def fold_cases(draw):
+    refs = draw(st.integers(min_value=1, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lines = draw(st.sampled_from([4, 24, 96]))
+    arrays = (
+        rng.integers(0, lines, refs) * 64 + rng.integers(0, 64, refs),
+        rng.random(refs) < draw(st.sampled_from([0.0, 0.3, 0.8])),
+        rng.integers(0, draw(st.sampled_from([1, 9, 300])), refs),
+    )
+    return {
+        "levels": draw(st.sampled_from(HIERARCHIES)),
+        "scheme": draw(st.sampled_from(["baseline", "src"])),
+        "arrays": arrays,
+        "warmup": draw(st.sampled_from([0, 1, refs // 3, refs + 2])),
+        "batch": draw(st.sampled_from([1, 3, 64, 8192])),
+        "subscribe": draw(st.booleans()),
+        "fail_at": draw(st.sampled_from([0, 0, 1, 5, 17])),
+    }
+
+
+class TestFoldMatchesReference:
+    """The engine that folds counts, cycles and latencies per batch in
+    numpy against the per-reference loop it replaced
+    (``tests/reference_engine.py``), on random traces and on a
+    configuration whose float sums depend on their order."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=fold_cases())
+    def test_engine_matches_reference_loop(self, case):
+        expected = _fold_observation(ReferenceEngine, case)
+        observed = _fold_observation(sim_engine.BatchEngine, case)
+        assert observed == expected
+
+    def test_fold_config_sums_depend_on_order(self):
+        """The property's configuration can see a reordered fold: the
+        same addends summed in another order round differently."""
+        cycles = _fold_config(HIERARCHIES[2]).ns_to_cycles(151)
+        addends = [cycles, 7, 54, cycles * 3, 22, 5] * 50
+        in_order = 0.0
+        for addend in addends:
+            in_order += addend
+        assert in_order != float(np.sum(addends))

@@ -306,6 +306,37 @@ class TestClaimRace:
         assert outcomes[1].attempts == 2
         assert _execution_counts(log_dir, [2, -1]) == {2: 1, -1: 0}
 
+    def test_peer_claim_while_lease_is_written_gets_no_lease(
+            self, tmp_path, monkeypatch):
+        """A peer that claims while this worker is still writing its
+        lease must find either no lease or a whole one, never an empty
+        file it takes for a torn lease and reclaims: exactly one of the
+        two holds the cell.  The peer claims from inside the claimer's
+        first ``os.write``."""
+        queue_dir = tmp_path / "queue"
+        claimer = WorkQueue(queue_dir, owner="claimer")
+        peer = WorkQueue(queue_dir, owner="peer")
+        write = os.write
+        peer_claims = []
+
+        def write_after_peer_claim(fd, data):
+            if not peer_claims:
+                peer_claims.append(None)
+                peer_claims[0] = peer.try_claim("cell")
+            return write(fd, data)
+
+        monkeypatch.setattr(os, "write", write_after_peer_claim)
+        mine = claimer.try_claim("cell")
+        monkeypatch.setattr(os, "write", write)
+        holders = [lease.owner for lease in (mine, peer_claims[0])
+                   if lease is not None]
+        assert len(holders) == 1
+        with open(claimer.lease_path("cell")) as fh:
+            assert json.load(fh)["owner"] == holders[0]
+        assert claimer.registry.snapshot()["runtime.lease.torn"] == 0
+        leases = os.listdir(queue_dir / "leases")
+        assert leases == ["cell.json"]
+
 
 class TestQueueIdentity:
     def test_foreign_campaign_rejected(self, tmp_path):

@@ -127,6 +127,31 @@ class TestSecureSystem:
         assert result.memory_requests == 0
         assert result.exec_time_ns == 0.0
 
+    def test_negative_warmup_rejected(self, config):
+        """A negative warm-up would slice the stream from its end and
+        measure only its last references; it fails before any
+        reference runs."""
+        system = SecureSystem("src", config=config)
+        with pytest.raises(ValueError, match="warmup_refs"):
+            system.run(gcc(footprint_bytes=1 << 20, num_refs=1000),
+                       warmup_refs=-5)
+        assert all(not lines for cache in system.hierarchy.caches
+                   for lines in cache.sets)
+        assert system.controller.stats.total_nvm_reads == 0
+        assert system.registry.snapshot()["latency.read"]["count"] == 0
+
+    def test_negative_warmup_rejected_through_sim_cell(self, config):
+        from repro.sim.sweep import SimCell, SweepEngine, run_sim_cell
+
+        spec = ("gcc", (), {"footprint_bytes": 1 << 20, "num_refs": 1000})
+        cell = SimCell(workload=spec, scheme="src", config=config,
+                       warmup_refs=-5)
+        with pytest.raises(ValueError, match="warmup_refs"):
+            run_sim_cell(cell)
+        [outcome] = SweepEngine([cell], retries=0).run()
+        assert not outcome.ok
+        assert "warmup_refs" in outcome.error
+
     def test_warmup_resets_every_stat_domain(self, config):
         """Regression: the warmup checkpoint used to reset only the
         controller stats and NVM counters, so warmup accesses leaked

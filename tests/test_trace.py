@@ -197,6 +197,30 @@ class TestLoadExternal:
         with pytest.raises(ValueError, match="unknown trace format"):
             load_external(path, fmt="exotic")
 
+    @pytest.mark.parametrize("line, field", [
+        ("4096 R -300", "gap"),
+        ("-64 R 2", "address"),
+        ("W -0x40", "address"),
+    ])
+    def test_negative_address_or_gap_rejected(self, tmp_path, line, field):
+        """A negative gap would subtract instructions and a negative
+        address would wrap to the top of the data region: both are
+        parse errors naming their line."""
+        from repro.workloads import load_external
+
+        path = tmp_path / "negative.trace"
+        path.write_text(f"64 R 1\n128 W 2\n{line}\n")
+        with pytest.raises(ValueError, match=f"line 3: negative {field}"):
+            load_external(path)
+
+    def test_zero_address_and_gap_accepted(self, tmp_path):
+        from repro.workloads import load_external
+
+        path = tmp_path / "zero.trace"
+        path.write_text("0 R 0\n0 W 0\n")
+        assert load_external(path).references == [(0, False, 0),
+                                                  (0, True, 0)]
+
     def test_trace_workload_runs_in_simulator(self):
         from repro.workloads import trace_workload
 
